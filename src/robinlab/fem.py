@@ -75,14 +75,18 @@ class Mesh:
             raise ValueError("boundary_edges must chain into a closed loop")
         if np.unique(b[:, 0]).size != b.shape[0]:
             raise ValueError("boundary loop must visit each vertex once")
-        # each boundary edge lies in exactly one triangle
+        # each boundary edge lies in exactly one triangle; an undirected edge
+        # (lo, hi) is keyed as lo * N + hi
+        n_v = v.shape[0]
         tri_edges = np.sort(t[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2), axis=1)
-        uniq, counts = np.unique(tri_edges, axis=0, return_counts=True)
-        rim = {tuple(e) for e in uniq[counts == 1]}
-        for e in np.sort(b, axis=1):
-            if tuple(e) not in rim:
-                raise ValueError(f"boundary edge {tuple(e)} is not a rim edge of the triangulation")
-        if len(rim) != b.shape[0]:
+        uniq, counts = np.unique(tri_edges[:, 0] * n_v + tri_edges[:, 1], return_counts=True)
+        rim = uniq[counts == 1]
+        b_sorted = np.sort(b, axis=1)
+        off_rim = ~np.isin(b_sorted[:, 0] * n_v + b_sorted[:, 1], rim)
+        if off_rim.any():
+            e = b_sorted[np.argmax(off_rim)]
+            raise ValueError(f"boundary edge {tuple(e)} is not a rim edge of the triangulation")
+        if rim.size != b.shape[0]:
             raise ValueError("triangulation rim does not match the boundary loop")
 
     @property
@@ -129,6 +133,7 @@ class EnergyReport:
     iterations: int
     converged: bool
     lambda_q: float | None = None
+    factorizations: int = 0  # splu calls made by the minimization
 
     def __post_init__(self):
         total = self.dirichlet + self.boundary + self.bulk
@@ -239,35 +244,63 @@ def _consistent_mass(mesh: Mesh) -> sp.csr_matrix:
     ).tocsr()
 
 
-def _obstacle_solve(A, lu_full, r, c, scale):
+class _ObstacleSolver:
     """Exact minimizer of 1/2 u'Au - r'u over {u >= c} by a primal-dual
-    active set iteration; lu_full factors A and serves the unconstrained
-    first pass."""
-    u = lu_full.solve(r)
-    if np.min(u) >= c - 1e-14 * scale:
-        return np.maximum(u, c)
-    N = u.size
-    active = u < c
-    Acsc = A.tocsc()
-    ones = np.ones(N)
-    for _ in range(MAX_ACTIVE_SET):
-        free = ~active
-        if not active.any():
-            u = lu_full.solve(r)
+    active set iteration, for a sequence of right-hand sides r.
+
+    Holds the factorisation of A, which serves unconstrained passes, and at
+    most one free-node factorisation: the one for the last active set, with
+    that set's coupling A[free, active] @ 1. A solve starts from the previous
+    solve's active set and factorises only when the mask changes; it starts
+    cold (unconstrained pass, then u < c) when that set was empty."""
+
+    def __init__(self, A, c, scale):
+        self.A = A
+        self.c = c
+        self.scale = scale
+        self.lu_full = splu(A.tocsc())
+        self.factorizations = 1
+        self.held = None  # (active, free indices, coupling, free-block LU)
+
+    def _solve_pinned(self, active, r):
+        """Solve with the active nodes pinned at c, refactoring the free-node
+        block only when the active set differs from the held one."""
+        if self.held is None or not np.array_equal(active, self.held[0]):
+            self.held = None  # release the old factorisation first: at most one is alive
+            idx_f = np.nonzero(~active)[0]
+            rows = self.A.tocsc()[idx_f]
+            coupling = np.asarray(rows[:, np.nonzero(active)[0]].sum(axis=1)).ravel()
+            self.held = (active, idx_f, coupling, splu(rows[:, idx_f]))
+            self.factorizations += 1
+        _, idx_f, coupling, lu = self.held
+        u = np.full(r.size, self.c)
+        u[idx_f] = lu.solve(r[idx_f] - self.c * coupling)
+        return u
+
+    def solve(self, r):
+        c = self.c
+        if self.held is None:
+            u = self.lu_full.solve(r)
+            if np.min(u) >= c - 1e-14 * self.scale:
+                return np.maximum(u, c)
+            active = u < c
         else:
-            idx_f = np.nonzero(free)[0]
-            rhs = r[idx_f] - c * np.asarray(Acsc[idx_f][:, np.nonzero(active)[0]].sum(axis=1)).ravel()
-            sub = Acsc[idx_f][:, idx_f]
-            u = np.full(N, c)
-            u[idx_f] = splu(sub).solve(rhs)
-        mu = A @ u - r
-        new_active = mu > (u - c)
-        if np.array_equal(new_active, active):
-            break
-        active = new_active
-    else:
-        raise SolverError("active-set iteration for the obstacle failed to settle")
-    return np.maximum(u, c)
+            active = self.held[0]
+        for _ in range(MAX_ACTIVE_SET):
+            if not active.any():
+                u = self.lu_full.solve(r)
+            else:
+                u = self._solve_pinned(active, r)
+            mu = self.A @ u - r
+            new_active = mu > (u - c)
+            if np.array_equal(new_active, active):
+                break
+            active = new_active
+        else:
+            raise SolverError("active-set iteration for the obstacle failed to settle")
+        if not active.any():
+            self.held = None
+        return np.maximum(u, c)
 
 
 def _energy_terms(K, B, w, params, u):
@@ -302,13 +335,13 @@ def minimize_energy(
         raise ValueError("omega must lie in (0, 1]")
     K, B, w = assemble(mesh)
     A = (K + p.beta * B).tocsr()
-    lu = splu(A.tocsc())
     scale = max(1.0, float(np.max(np.abs(w))) / max(p.beta, 1e-12))
+    obstacle = _ObstacleSolver(A, p.c, scale)
 
     def energy(u):
         return sum(_energy_terms(K, B, w, p, u))
 
-    u = np.maximum(lu.solve(w), p.c)
+    u = np.maximum(obstacle.lu_full.solve(w), p.c)
     E = energy(u)
     converged = False
     iterations = 0
@@ -317,11 +350,11 @@ def minimize_energy(
         iterations = k
         if p.q == 1.0:
             if cached_target is None:
-                cached_target = _obstacle_solve(A, lu, w, p.c, scale)
+                cached_target = obstacle.solve(w)
             target = cached_target
         else:
             r = w * u ** (p.q - 1.0)
-            target = _obstacle_solve(A, lu, r, p.c, scale)
+            target = obstacle.solve(r)
         u_next = (1.0 - omega) * u + omega * target
         E_next = energy(u_next)
         if E_next > E + 1e-15 * max(1.0, abs(E)):
@@ -361,6 +394,7 @@ def minimize_energy(
         iterations=iterations,
         converged=converged,
         lambda_q=lam,
+        factorizations=obstacle.factorizations,
     )
     return ScalarField(mesh, u), report
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fem, geometry, radial
-from .errors import ConfigError
+from .errors import ConfigError, SolverError
 from .geometry import StarDomain
 from .radial import RadialParams, RadialProfile
 from .reports import InequalityReport, SweepResult, make_report
@@ -107,6 +107,17 @@ def _ball_radius(d: StarDomain) -> float:
     return geometry.equivalent_ball_radius(d)
 
 
+def _minimize(mesh: fem.Mesh, params: RadialParams):
+    """fem.minimize_energy, raising instead of returning an unconverged
+    minimizer, so that no report is built on one."""
+    field, rep = fem.minimize_energy(mesh, params)
+    if not rep.converged:
+        raise SolverError(
+            f"energy minimization hit the iteration cap after {rep.iterations} outer iterations"
+        )
+    return field, rep
+
+
 def check_intermediate(
     d: StarDomain, q: float, beta: float, res: Resolution = Resolution()
 ) -> InequalityReport:
@@ -116,7 +127,7 @@ def check_intermediate(
 
     def sides(dom, r):
         mesh = fem.mesh_star(dom, r.n_r, r.n_theta)
-        _, rep = fem.minimize_energy(mesh, RadialParams(n=2, q=q, beta=beta))
+        _, rep = _minimize(mesh, RadialParams(n=2, q=q, beta=beta))
         R = _ball_radius(dom)
         ball = radial.ball_energy(radial.solve_ball(RadialParams(n=2, q=q, beta=beta), R, M=r.M))
         per = geometry.perimeter(dom)
@@ -202,16 +213,17 @@ def check_ec_ball_minimality(
 
     def sides(dom, r):
         mesh = fem.mesh_star(dom, r.n_r, r.n_theta)
-        _, rep = fem.minimize_energy(mesh, params)
+        _, rep = _minimize(mesh, params)
         R = _ball_radius(dom)
-        ball = radial.ball_energy(radial.solve_ball(params, R, M=r.M))
+        profile = radial.solve_ball(params, R, M=r.M)
+        ball = radial.ball_energy(profile)
         return _Sides(
             rep.E,
             ball.E,
             {
                 "inf_u": rep.inf_u,
                 "ball_radius": R,
-                "ball_mode": "contact" if ball.boundary == 0.0 else "robin-type",
+                "ball_mode": "contact" if profile.mode == "obstacle_contact" else "robin-type",
                 "conforming_bias": "lhs overestimated (conforming fem)",
             },
         )
@@ -384,7 +396,7 @@ def sweep(
     for value in grid:
         d = _make_domain(family, value, k, domain_K)
         mesh = fem.mesh_star(d, res.n_r, res.n_theta)
-        base_field, base = fem.minimize_energy(mesh, RadialParams(n=2, q=q, beta=beta))
+        base_field, base = _minimize(mesh, RadialParams(n=2, q=q, beta=beta))
         if check == "intermediate":
             rep = check_intermediate(d, q, beta, res)
         elif check == "quantitative":

@@ -192,11 +192,15 @@ class BallEnergy:
 
 def _series_step(n, q, c, a, h):
     A = _pospow(a + c, q - 1.0)
-    if q == 1.0 or a + c <= 0.0 or A == 0.0:
+    drop = A * h * h / (2.0 * n)
+    # the r^4 coefficient grows like (a + c)^(2q - 3); once the first step's
+    # drop exceeds a + c the series no longer describes the step, so keep
+    # only the r^2 term
+    if q == 1.0 or a + c <= 0.0 or A == 0.0 or drop > a + c:
         B = 0.0
     else:
         B = (q - 1.0) * A * A / (8.0 * n * (n + 2) * (a + c))
-    psi = a - A * h * h / (2.0 * n) + B * h**4
+    psi = a - drop + B * h**4
     s = -A * h / n + 4.0 * B * h**3
     return psi, s
 
@@ -571,7 +575,6 @@ def eigenvalue_q2_ball(
         raise SolverError("no sign change found while scanning for the eigenvalue")
 
     # bisection keeps residual(lo) > 0 > residual(hi): flip signs for _bisect
-    neg = lambda lam_steps: None
     flip = lambda lam, steps: -res_at(lam, steps)
     lam_root, _ = _two_stage_bisect(flip, lo, hi, -g_lo, -g_hi, M)
     if not return_profile:

@@ -70,6 +70,37 @@ def test_mesh_invariants_rejected():
     assert abs(ok.area() - 0.5) < 1e-15
 
 
+def test_mesh_rim_mismatch_rejected():
+    # unit square split along 0-2: rim 0-1, 1-2, 2-3, 3-0, interior edge 0-2
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    tris = np.array([[0, 1, 2], [0, 2, 3]])
+    good = dict(n_r=4, n_theta=16)
+    # a loop through the interior edge 2-0: that boundary edge is not a rim edge
+    with pytest.raises(ValueError, match=r"boundary edge \(.*0.*2.*\) is not a rim edge"):
+        Mesh(verts, tris, np.array([[0, 1], [1, 2], [2, 0]]), **good)
+    # every loop edge is a rim edge, but the rim has a second component the
+    # loop does not visit
+    verts2 = np.vstack([verts, verts + 2.0])
+    tris2 = np.vstack([tris, tris + 4])
+    with pytest.raises(ValueError, match="rim does not match the boundary loop"):
+        Mesh(verts2, tris2, np.array([[0, 1], [1, 2], [2, 3], [3, 0]]), **good)
+    ok = Mesh(verts, tris, np.array([[0, 1], [1, 2], [2, 3], [3, 0]]), **good)
+    assert abs(ok.area() - 1.0) < 1e-15
+
+
+def test_obstacle_factorizations_counted():
+    # q = 1.5, c = 0.3 on ellipse(1.3): 33 outer iterations over a handful of
+    # active sets; each solve starts from the last set and refactors only
+    # when the set changes
+    mesh = mesh_star(geo.ellipse(1.3), 48, 96)
+    _, rep = minimize_energy(mesh, RadialParams(n=2, q=1.5, beta=1.0, c=0.3))
+    assert rep.converged
+    assert rep.E == -0.060316851187458886
+    assert 2 <= rep.factorizations <= 12
+    _, free = minimize_energy(mesh, RadialParams(n=2, q=1.5, beta=1.0))
+    assert free.factorizations == 1
+
+
 def test_assembly_identities(disk_mesh):
     K, B, w = assemble(disk_mesh)
     one = np.ones(disk_mesh.n_vertices)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from robinlab import fem, geometry, inequalities as ineq, radial
-from robinlab.errors import ConfigError
+from robinlab.errors import ConfigError, SolverError
 from robinlab.radial import RadialParams
 from robinlab.reports import InequalityReport, make_report
 
@@ -90,6 +90,26 @@ def test_ec_ball_disk_and_ellipse():
     rep_e = ineq.check_ec_ball_minimality(geometry.ellipse(1.3), p, RES)
     assert rep_e.passed
     assert rep_e.deficit > 5.0 * rep_e.tolerance
+
+
+def test_ec_ball_labels_contact_ball():
+    # c = 1 lies above the ball's inf psi: the radial side is a contact profile
+    rep = ineq.check_ec_ball_minimality(geometry.ellipse(1.2), RadialParams(q=1, beta=1, c=1.0), RES)
+    assert rep.inputs["ball_mode"] == "contact"
+    rep = ineq.check_ec_ball_minimality(geometry.ellipse(1.2), RadialParams(q=1, beta=1, c=0.2), RES)
+    assert rep.inputs["ball_mode"] == "robin-type"
+
+
+def test_unconverged_minimizer_raises(monkeypatch):
+    # at q = 1.5 one damped outer iteration cannot meet the stopping test
+    monkeypatch.setattr(fem, "MAX_OUTER", 1)
+    d = geometry.ellipse(1.2)
+    with pytest.raises(SolverError, match="iteration cap"):
+        ineq.check_intermediate(d, 1.5, 1.0, RES)
+    with pytest.raises(SolverError, match="iteration cap"):
+        ineq.check_ec_ball_minimality(d, RadialParams(q=1.5, beta=1.0, c=0.2), RES)
+    with pytest.raises(SolverError, match="iteration cap"):
+        ineq.sweep("ellipse", [1.2], "trace_poincare", q=1.5, beta=1.0, res=RES)
 
 
 def test_ec_ball_rejects_regularized_params():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 from scipy.special import j0, j1
 
@@ -279,9 +279,18 @@ def test_q1_center_value_closed_form(beta, R):
     beta=st.floats(min_value=0.3, max_value=3.0),
     c=st.floats(min_value=0.0, max_value=0.4),
 )
+@example(q=1.25, beta=1.0, c=1.03e-164)
 def test_solver_invariants_hold(q, beta, c):
     # construction runs the full invariant battery; energy must be negative
     prof = solve_ball(RadialParams(n=2, q=q, beta=beta, c=c), 1.0, M=512)
     e = ball_energy(prof)
     assert e.E < 0.0
     assert hamiltonian_monotonicity(prof).passed
+
+
+def test_tiny_obstacle_level_keeps_the_series_start_bounded():
+    # with q < 1.5 the series' r^4 coefficient grows like (a + c)^(2q - 3);
+    # kept at a tiny c it shoots psi to ~1e68 and loses the contact bracket
+    prof = solve_ball(RadialParams(q=1.25, c=1.03e-164), 1.0, M=512)
+    assert prof.mode == "modified_robin"
+    assert ball_energy(prof).E < 0.0
