@@ -85,7 +85,9 @@ class Mesh:
         off_rim = ~np.isin(b_sorted[:, 0] * n_v + b_sorted[:, 1], rim)
         if off_rim.any():
             e = b_sorted[np.argmax(off_rim)]
-            raise ValueError(f"boundary edge {tuple(e)} is not a rim edge of the triangulation")
+            raise ValueError(
+                f"boundary edge {tuple(int(i) for i in e)} is not a rim edge of the triangulation"
+            )
         if rim.size != b.shape[0]:
             raise ValueError("triangulation rim does not match the boundary loop")
 

@@ -3,8 +3,10 @@
 Profiles solve psi'' + (n-1)/r psi' + (psi + c)^(q-1) = 0 with psi'(0) = 0 and
 the boundary law psi'(R) + beta (psi(R) + c (1+eps) psi(R)^eps) = 0 (outer
 normal; the inner boundary of an annulus flips the sign of psi'). Shooting on
-the center value a = psi(0) with a fixed-step RK4 integrator; the first step
-uses the even series psi ~ a - A r^2/(2n) + B r^4 to clear the (n-1)/r
+the center value a = psi(0) with one fixed-step RK4 integrator, whose source
+term is (psi + c)^(q-1) here and lam psi for the q = 2 eigenvalue; Brent's
+method (scipy's brentq) finds the root on a sign-changing bracket. The first
+step uses the even series psi ~ a - A r^2/(2n) + B r^4 to clear the (n-1)/r
 singularity, with A = (a+c)^(q-1) and B = (q-1) A^2 / (8 n (n+2) (a+c)).
 
 The ball energy is
@@ -28,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import SolverError
 from .reports import InequalityReport, make_report
@@ -101,6 +104,7 @@ class RadialProfile:
     dpsi: np.ndarray
     bc_residual: float
     mode: str
+    shots: int = 0  # integrator passes that built the profile
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -205,161 +209,88 @@ def _series_step(n, q, c, a, h):
     return psi, s
 
 
-def _shoot_ball(n, q, c, R, M, a, store=False):
-    """Integrate from the center with psi(0)=a; returns (psi(R), psi'(R)) and,
-    when store=True, the full (grid, psi, dpsi) arrays."""
-    h = R / M
+def _rk4(n, source, r0, h, M, start, store=False):
+    """Fixed-step RK4 for psi'' = -(n-1)/r psi' - source(psi) on the nodes
+    r0 + i h, i = 0..M. `start` lists the (psi, psi') pairs known at the first
+    nodes, and the integration continues from the last of them. Returns
+    (psi, psi') at node M and, when store=True, the (grid, psi, dpsi) arrays."""
     nm1 = float(n - 1)
-    qm1 = q - 1.0
-    linear = q == 1.0
+    h2 = 0.5 * h
+    h6 = h / 6.0
+    k = len(start) - 1
+    psi, s = start[-1]
     if store:
         psi_arr = np.empty(M + 1)
         s_arr = np.empty(M + 1)
-        psi_arr[0] = a
-        s_arr[0] = 0.0
-    psi, s = _series_step(n, q, c, a, h)
-    if store:
-        psi_arr[1] = psi
-        s_arr[1] = s
-    h2 = 0.5 * h
-    h6 = h / 6.0
-    for i in range(1, M):
-        r = i * h
-        if linear:
-            f1 = -nm1 * s / r - 1.0
-            s2 = s + h2 * f1
-            p2 = psi + h2 * s
-            f2 = -nm1 * s2 / (r + h2) - 1.0
-            s3 = s + h2 * f2
-            p3 = psi + h2 * s2
-            f3 = -nm1 * s3 / (r + h2) - 1.0
-            s4 = s + h * f3
-            p4 = psi + h * s3
-            f4 = -nm1 * s4 / (r + h) - 1.0
-        else:
-            b = psi + c
-            f1 = -nm1 * s / r - (b**qm1 if b > 0.0 else 0.0)
-            s2 = s + h2 * f1
-            p2 = psi + h2 * s
-            b = p2 + c
-            f2 = -nm1 * s2 / (r + h2) - (b**qm1 if b > 0.0 else 0.0)
-            s3 = s + h2 * f2
-            p3 = psi + h2 * s2
-            b = p3 + c
-            f3 = -nm1 * s3 / (r + h2) - (b**qm1 if b > 0.0 else 0.0)
-            s4 = s + h * f3
-            p4 = psi + h * s3
-            b = p4 + c
-            f4 = -nm1 * s4 / (r + h) - (b**qm1 if b > 0.0 else 0.0)
+        psi_arr[: k + 1], s_arr[: k + 1] = zip(*start)
+    for i in range(k, M):
+        r = r0 + i * h
+        f1 = -nm1 * s / r - source(psi)
+        s2 = s + h2 * f1
+        p2 = psi + h2 * s
+        f2 = -nm1 * s2 / (r + h2) - source(p2)
+        s3 = s + h2 * f2
+        p3 = psi + h2 * s2
+        f3 = -nm1 * s3 / (r + h2) - source(p3)
+        s4 = s + h * f3
+        p4 = psi + h * s3
+        f4 = -nm1 * s4 / (r + h) - source(p4)
         psi += h6 * (s + 2.0 * (s2 + s3) + s4)
         s += h6 * (f1 + 2.0 * (f2 + f3) + f4)
         if store:
             psi_arr[i + 1] = psi
             s_arr[i + 1] = s
     if store:
-        return psi, s, (np.arange(M + 1) * h, psi_arr, s_arr)
+        return psi, s, (r0 + np.arange(M + 1) * h, psi_arr, s_arr)
     return psi, s
+
+
+def _source(q, c):
+    """The source term (psi + c)^(q-1) on its positive part, and 1 at q = 1."""
+    if q == 1.0:
+        return lambda y: 1.0
+    qm1 = q - 1.0
+
+    def source(y):
+        b = y + c
+        return b**qm1 if b > 0.0 else 0.0
+
+    return source
+
+
+def _shoot_ball(n, q, c, R, M, a, store=False):
+    """Integrate from the center with psi(0)=a; returns (psi(R), psi'(R)) and,
+    when store=True, the full (grid, psi, dpsi) arrays."""
+    h = R / M
+    start = [(a, 0.0), _series_step(n, q, c, a, h)]
+    return _rk4(n, _source(q, c), 0.0, h, M, start, store)
 
 
 def _shoot_annulus(n, q, beta, c, eps, r1, r2, M, a, store=False):
     """Integrate outward from r1 with psi(r1)=a and the inner boundary law
     -psi'(r1) + beta (a + c(1+eps) a^eps) = 0."""
-    h = (r2 - r1) / M
-    nm1 = float(n - 1)
-    qm1 = q - 1.0
-    linear = q == 1.0
-    psi = a
     s = beta * (a + c * (1.0 + eps) * _pospow(a, eps))
-    if store:
-        psi_arr = np.empty(M + 1)
-        s_arr = np.empty(M + 1)
-        psi_arr[0] = psi
-        s_arr[0] = s
-    h2 = 0.5 * h
-    h6 = h / 6.0
-    for i in range(M):
-        r = r1 + i * h
-        if linear:
-            f1 = -nm1 * s / r - 1.0
-            s2 = s + h2 * f1
-            p2 = psi + h2 * s
-            f2 = -nm1 * s2 / (r + h2) - 1.0
-            s3 = s + h2 * f2
-            p3 = psi + h2 * s2
-            f3 = -nm1 * s3 / (r + h2) - 1.0
-            s4 = s + h * f3
-            p4 = psi + h * s3
-            f4 = -nm1 * s4 / (r + h) - 1.0
-        else:
-            b = psi + c
-            f1 = -nm1 * s / r - (b**qm1 if b > 0.0 else 0.0)
-            s2 = s + h2 * f1
-            p2 = psi + h2 * s
-            b = p2 + c
-            f2 = -nm1 * s2 / (r + h2) - (b**qm1 if b > 0.0 else 0.0)
-            s3 = s + h2 * f2
-            p3 = psi + h2 * s2
-            b = p3 + c
-            f3 = -nm1 * s3 / (r + h2) - (b**qm1 if b > 0.0 else 0.0)
-            s4 = s + h * f3
-            p4 = psi + h * s3
-            b = p4 + c
-            f4 = -nm1 * s4 / (r + h) - (b**qm1 if b > 0.0 else 0.0)
-        psi += h6 * (s + 2.0 * (s2 + s3) + s4)
-        s += h6 * (f1 + 2.0 * (f2 + f3) + f4)
-        if store:
-            psi_arr[i + 1] = psi
-            s_arr[i + 1] = s
-    if store:
-        return psi, s, (r1 + np.arange(M + 1) * h, psi_arr, s_arr)
-    return psi, s
+    return _rk4(n, _source(q, c), r1, (r2 - r1) / M, M, [(a, s)], store)
 
 
-def _bisect(g, lo, hi, g_lo, g_hi, atol, max_iter=200):
-    """Plain bisection keeping g(lo) < 0 <= g(hi)."""
-    for _ in range(max_iter):
-        if hi - lo <= atol:
-            break
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if gm < 0.0:
-            lo, g_lo = mid, gm
-        else:
-            hi, g_hi = mid, gm
-    return lo, hi, g_lo, g_hi
+def _root(f, lo, hi):
+    """Brent's method (Brent 1973) on a sign-changing bracket [lo, hi]. The
+    relative tolerance 4 eps alone sets the precision, so that tiny roots are
+    resolved too; brentq only needs a positive xtol."""
+    a, info = brentq(f, lo, hi, xtol=1e-300, full_output=True, disp=False)
+    if not info.converged:
+        raise SolverError(f"Brent root search did not converge: {info.flag}")
+    return a
 
 
-def _two_stage_bisect(residual_at, lo, hi, g_lo, g_hi, M):
-    """Bisection at a coarse step count first, then at the full M. The root
-    shift between step counts is O(M^-4), far below the coarse bracket."""
-    scale = max(1.0, hi)
-    if M > _COARSE_STEPS:
-        g_c = lambda a: residual_at(a, _COARSE_STEPS)
-        lo_c, hi_c = lo, hi
-        gl = g_c(lo_c) if g_lo is None else g_lo
-        gh = g_c(hi_c) if g_hi is None else g_hi
-        lo_c, hi_c, _, _ = _bisect(g_c, lo_c, hi_c, gl, gh, atol=1e-9 * scale)
-        pad = 1e-6 * scale
-        lo_f = max(lo, lo_c - pad)
-        hi_f = min(hi, hi_c + pad)
-        g_f = lambda a: residual_at(a, M)
-        gl_f, gh_f = g_f(lo_f), g_f(hi_f)
-        if not (gl_f < 0.0 <= gh_f):
-            lo_f, hi_f = lo, hi
-            gl_f, gh_f = g_f(lo_f), g_f(hi_f)
-            if not (gl_f < 0.0 <= gh_f):
-                raise SolverError("shooting bracket lost between step counts")
-    else:
-        g_f = lambda a: residual_at(a, M)
-        lo_f, hi_f, gl_f, gh_f = lo, hi, g_lo, g_hi
-        if gl_f is None:
-            gl_f = g_f(lo_f)
-        if gh_f is None:
-            gh_f = g_f(hi_f)
-    lo_f, hi_f, gl_f, gh_f = _bisect(
-        g_f, lo_f, hi_f, gl_f, gh_f, atol=max(4e-16 * scale, 1e-15)
-    )
-    return hi_f, gh_f
+def _refine(f, lo, hi):
+    """Root of f at the full step count inside a bracket that a scan at
+    _COARSE_STEPS found. The root shifts by O(M^-4) between step counts, so
+    the bracket holds unless the root lies that close to one of its ends."""
+    try:
+        return _root(f, lo, hi)
+    except ValueError:  # brentq found f(lo) and f(hi) of one sign
+        raise SolverError("shooting bracket lost between step counts") from None
 
 
 def shoot_once(params: RadialParams, R: float, a: float, M: int = DEFAULT_STEPS):
@@ -380,11 +311,12 @@ def shoot_once(params: RadialParams, R: float, a: float, M: int = DEFAULT_STEPS)
 def solve_ball(params: RadialParams, R: float, M: int = DEFAULT_STEPS) -> RadialProfile:
     """Shoot for the radial minimizer profile on the ball of radius R.
 
-    Bisection on the center value against the boundary residual
-    psi'(R) + beta (psi(R) + c (1+eps) psi(R)^eps). When eps = 0 and c is
-    large the residual stays positive while psi(R) -> 0; the solve then
-    switches to a Dirichlet shot psi(R) = 0 and verifies the contact slope
-    condition psi'(R) + beta c >= -1e-9 (mode 'obstacle_contact').
+    Brent's method on the center value against the boundary residual
+    psi'(R) + beta (psi(R) + c (1+eps) psi(R)^eps). When c > 0 and eps = 0 the
+    Dirichlet shot psi(R) = 0 is solved first: if its root meets the contact
+    slope condition psi'(R) + beta c >= -1e-9 the profile is returned in mode
+    'obstacle_contact'; otherwise the Robin root lies above it. The profile
+    records in `shots` how many integrator passes built it.
     """
     p = params
     R = float(R)
@@ -397,60 +329,77 @@ def solve_ball(params: RadialParams, R: float, M: int = DEFAULT_STEPS) -> Radial
             "q = 2 has no nontrivial energy minimizer on the ball; "
             "use eigenvalue_q2_ball for the linear problem"
         )
+    shots = 0
+    # (psi(R), psi'(R)) by center value: brentq re-evaluates its bracket ends,
+    # and the Robin search starts on shots of the Dirichlet search
+    shot_at = {}
+
+    def shoot(a):
+        nonlocal shots
+        if a not in shot_at:
+            shots += 1
+            shot_at[a] = _shoot_ball(p.n, p.q, p.c, R, M, a)
+        return shot_at[a]
+
+    def profile(a, residual, mode):
+        nonlocal shots
+        shots += 1
+        _, _, arrays = _shoot_ball(p.n, p.q, p.c, R, M, a, store=True)
+        return RadialProfile(p, *arrays, float(residual), mode, shots)
 
     def bc_residual(psiR, sR):
         return sR + p.beta * (psiR + p.c * (1.0 + p.eps) * _pospow(psiR, p.eps))
 
-    def g_at(a, steps):
-        psiR, sR = _shoot_ball(p.n, p.q, p.c, R, steps, a)
-        return bc_residual(psiR, sR)
+    def robin(a):
+        return bc_residual(*shoot(a))
+
+    def dirichlet(a):
+        return shoot(a)[0]
+
+    def widen(f, hi):
+        f_hi = f(hi)
+        k = 0
+        while f_hi <= 0.0 and k < 60:
+            hi *= 2.0
+            f_hi = f(hi)
+            k += 1
+        if f_hi <= 0.0:
+            raise SolverError("boundary residual bracket exhausted (never positive)")
+        return hi
 
     hi = 10.0 * (R / (p.n * p.beta) + R * R / (2.0 * p.n) + p.c)
-    lo = 0.0 if (p.c > 0.0 or p.q == 1.0) else 1e-10 * hi
-    g_lo = g_at(lo, M)
-    g_hi = g_at(hi, M)
-    widen = 0
-    while g_hi <= 0.0 and widen < 60:
-        hi *= 2.0
-        g_hi = g_at(hi, M)
-        widen += 1
-    if g_hi <= 0.0:
-        raise SolverError("boundary residual bracket exhausted (never positive)")
-
-    contact_candidate = g_lo >= 0.0
-    if not contact_candidate:
-        a_root, g_root = _two_stage_bisect(g_at, lo, hi, g_lo, g_hi, M)
-        psiR, sR, (grid, psi, dpsi) = _shoot_ball(p.n, p.q, p.c, R, M, a_root, store=True)
-        res = bc_residual(psiR, sR)
-        if abs(res) <= BC_TOL and psiR >= -1e-12:
-            mode = "robin" if p.c == 0.0 else "modified_robin"
-            return RadialProfile(p, grid, psi, dpsi, float(res), mode)
-        contact_candidate = True
-
+    lo = 0.0
     if p.c > 0.0 and p.eps == 0.0:
-        # complementarity branch: Dirichlet shot psi(R) = 0
-        def h_at(a, steps):
-            psiR, _ = _shoot_ball(p.n, p.q, p.c, R, steps, a)
-            return psiR
-
-        h_lo = h_at(0.0, M)
-        if h_lo >= 0.0:
+        # complementarity branch first: the Dirichlet root is the contact
+        # profile when it meets the slope condition; else the Robin root of
+        # the modified law lies above it, where psi(R) > 0 keeps the residual
+        # free of the kink at psi(R) = 0
+        if dirichlet(0.0) >= 0.0:
             raise SolverError("contact shot found no sign change at a = 0")
-        h_hi = h_at(hi, M)
-        widen = 0
-        while h_hi <= 0.0 and widen < 60:
-            hi *= 2.0
-            h_hi = h_at(hi, M)
-            widen += 1
-        a_root, _ = _two_stage_bisect(h_at, 0.0, hi, h_lo, h_hi, M)
-        psiR, sR, (grid, psi, dpsi) = _shoot_ball(p.n, p.q, p.c, R, M, a_root, store=True)
-        if sR + p.beta * p.c < -BC_TOL:
-            raise SolverError("contact slope condition violated at the Dirichlet root")
-        return RadialProfile(p, grid, psi, dpsi, float(psiR), "obstacle_contact")
+        hi = widen(dirichlet, hi)
+        lo = _root(dirichlet, 0.0, hi)
+        psiR, sR = shoot(lo)
+        if sR + p.beta * p.c >= -BC_TOL:
+            return profile(lo, psiR, "obstacle_contact")
+    elif p.c == 0.0 and p.q > 1.0:
+        # a = 0 is the trivial solution, and the root can lie many decades
+        # below hi when q is near 2: shrink lo until the residual is negative,
+        # each rejected lo bounding the root from above
+        lo = 0.1 * hi
+        shrink = 0
+        while robin(lo) >= 0.0:
+            if shrink == 100:
+                raise SolverError("no boundary-residual root found for c = 0")
+            hi, lo = lo, 0.1 * lo
+            shrink += 1
+    hi = widen(robin, hi)
+    a_root = _root(robin, lo, hi)
+    psiR, sR = shoot(a_root)
+    res = bc_residual(psiR, sR)
+    if abs(res) <= BC_TOL and psiR >= -1e-12:
+        return profile(a_root, res, "robin" if p.c == 0.0 else "modified_robin")
     if p.c > 0.0:
-        raise SolverError(
-            "root search pinched at psi(R) -> 0 with eps > 0; no admissible profile"
-        )
+        raise SolverError("root search pinched at psi(R) -> 0; no admissible profile")
     raise SolverError("no boundary-residual root found for c = 0")
 
 
@@ -514,9 +463,9 @@ def eigenvalue_q2_ball(
     n: int, beta: float, R: float, M: int = DEFAULT_STEPS, return_profile: bool = False
 ):
     """Smallest Robin eigenvalue of the ball: psi'' + (n-1)/r psi' + lam psi = 0,
-    psi'(0) = 0, psi'(R) + beta psi(R) = 0. Scan-then-bisect on the boundary
-    residual in lam; the scan isolates the first sign change so the smallest
-    eigenvalue is returned."""
+    psi'(0) = 0, psi'(R) + beta psi(R) = 0. A scan at _COARSE_STEPS isolates
+    the first sign change of the boundary residual in lam, so the smallest
+    eigenvalue is returned; Brent's method refines it at M steps."""
     n = int(n)
     beta = float(beta)
     R = float(R)
@@ -525,34 +474,8 @@ def eigenvalue_q2_ball(
 
     def shoot(lam, steps, store=False):
         h = R / steps
-        psi = 1.0 - lam * h * h / (2.0 * n)
-        s = -lam * h / n
-        if store:
-            psi_arr = np.empty(steps + 1)
-            s_arr = np.empty(steps + 1)
-            psi_arr[0], s_arr[0] = 1.0, 0.0
-            psi_arr[1], s_arr[1] = psi, s
-        nm1 = float(n - 1)
-        h2, h6 = 0.5 * h, h / 6.0
-        for i in range(1, steps):
-            r = i * h
-            f1 = -nm1 * s / r - lam * psi
-            p2 = psi + h2 * s
-            s2 = s + h2 * f1
-            f2 = -nm1 * s2 / (r + h2) - lam * p2
-            p3 = psi + h2 * s2
-            s3 = s + h2 * f2
-            f3 = -nm1 * s3 / (r + h2) - lam * p3
-            p4 = psi + h * s3
-            s4 = s + h * f3
-            f4 = -nm1 * s4 / (r + h) - lam * p4
-            psi += h6 * (s + 2.0 * (s2 + s3) + s4)
-            s += h6 * (f1 + 2.0 * (f2 + f3) + f4)
-            if store:
-                psi_arr[i + 1], s_arr[i + 1] = psi, s
-        if store:
-            return psi, s, (np.arange(steps + 1) * h, psi_arr, s_arr)
-        return psi, s
+        start = [(1.0, 0.0), (1.0 - lam * h * h / (2.0 * n), -lam * h / n)]
+        return _rk4(n, lambda y: lam * y, 0.0, h, steps, start, store)
 
     def res_at(lam, steps):
         psi, s = shoot(lam, steps)
@@ -560,23 +483,20 @@ def eigenvalue_q2_ball(
 
     # residual(0) = beta > 0; march until the first sign change
     step = (math.pi / (2.0 * R)) ** 2 / 4.0
-    lo, g_lo = 0.0, beta
+    lo = 0.0
     hi = None
     k = 1
     while k < 100000:
         lam = k * step
-        g = res_at(lam, _COARSE_STEPS)
-        if g < 0.0:
-            hi, g_hi = lam, g
+        if res_at(lam, _COARSE_STEPS) < 0.0:
+            hi = lam
             break
-        lo, g_lo = lam, g
+        lo = lam
         k += 1
     if hi is None:
         raise SolverError("no sign change found while scanning for the eigenvalue")
 
-    # bisection keeps residual(lo) > 0 > residual(hi): flip signs for _bisect
-    flip = lambda lam, steps: -res_at(lam, steps)
-    lam_root, _ = _two_stage_bisect(flip, lo, hi, -g_lo, -g_hi, M)
+    lam_root = _refine(lambda lam: res_at(lam, M), lo, hi)
     if not return_profile:
         return lam_root
     _, _, (grid, psi, dpsi) = shoot(lam_root, M, store=True)
@@ -669,12 +589,11 @@ def annulus_exclusion(
     bracket = None
     for i in range(len(vals) - 1):
         if vals[i] < 0.0 <= vals[i + 1]:
-            bracket = (grid_a[i], grid_a[i + 1], vals[i], vals[i + 1])
+            bracket = (grid_a[i], grid_a[i + 1])
             break
     if bracket is None:
         return vacuous("no sign change of the outer residual in the amplitude scan")
-    lo_a, hi_a, g_lo, g_hi = bracket
-    a_root, _ = _two_stage_bisect(outer_residual, lo_a, hi_a, None, None, M)
+    a_root = _refine(lambda a: outer_residual(a, M), *bracket)
     psi2, s2, (grid, psi, dpsi) = _shoot_annulus(
         p.n, p.q, p.beta, p.c, p.eps, r1, r2, M, a_root, store=True
     )
@@ -687,15 +606,11 @@ def annulus_exclusion(
     psi1, s1 = psi[0], dpsi[0]
     H1 = 0.5 * s1 * s1 + _pospow(psi1 + p.c, p.q) / p.q
     H2 = 0.5 * s2 * s2 + _pospow(psi2 + p.c, p.q) / p.q
-    residual = (
-        H1
-        - H2
-        + 0.5 * p.beta * (p.n - 1) * (boundary_term(psi1) / r1 + boundary_term(psi2) / r2)
-    )
+    boundary = 0.5 * p.beta * (p.n - 1) * (boundary_term(psi1) / r1 + boundary_term(psi2) / r2)
     return make_report(
         name="annulus_exclusion",
-        lhs=residual,
-        rhs=1e-4,
+        lhs=H1 - H2 + boundary,
+        rhs=1e-4 * (H1 + H2 + boundary),
         tolerance=1e-12,
         inputs=dict(
             base_inputs,
@@ -707,7 +622,8 @@ def annulus_exclusion(
         ),
         term_provenance={
             "lhs": "H(r1) - H(r2) + (beta/2)(n-1) sum of boundary terms / r_i",
-            "rhs": "required strict-positivity margin 1e-4",
+            "rhs": "strict-positivity margin 1e-4 (H(r1) + H(r2) + both boundary terms), "
+            "scaled with the profile's size",
         },
     )
 

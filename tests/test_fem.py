@@ -76,7 +76,7 @@ def test_mesh_rim_mismatch_rejected():
     tris = np.array([[0, 1, 2], [0, 2, 3]])
     good = dict(n_r=4, n_theta=16)
     # a loop through the interior edge 2-0: that boundary edge is not a rim edge
-    with pytest.raises(ValueError, match=r"boundary edge \(.*0.*2.*\) is not a rim edge"):
+    with pytest.raises(ValueError, match=r"boundary edge \(0, 2\) is not a rim edge"):
         Mesh(verts, tris, np.array([[0, 1], [1, 2], [2, 0]]), **good)
     # every loop edge is a rim edge, but the rim has a second component the
     # loop does not visit

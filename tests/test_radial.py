@@ -11,6 +11,7 @@ from robinlab.radial import (
     BallEnergy,
     RadialParams,
     RadialProfile,
+    _refine,
     annulus_exclusion,
     ball_energy,
     ball_surface,
@@ -294,3 +295,38 @@ def test_tiny_obstacle_level_keeps_the_series_start_bounded():
     prof = solve_ball(RadialParams(q=1.25, c=1.03e-164), 1.0, M=512)
     assert prof.mode == "modified_robin"
     assert ball_energy(prof).E < 0.0
+
+
+def test_tiny_center_value_below_the_initial_bracket_floor():
+    # near q = 2 with a ball eigenvalue above 1 the c = 0 root sits at
+    # a ~ 4e-14, below the first lower end 1e-10 * hi of the bracket
+    prof = solve_ball(RadialParams(n=3, q=1.93, beta=2.70), 0.653)
+    assert prof.mode == "robin"
+    assert prof.psi[0] > 0.0
+    assert ball_energy(prof).E < 0.0
+
+
+def test_annulus_margin_scales_with_the_profile():
+    # a tiny admissible profile (psi ~ 1e-3) has a tiny positive residual;
+    # a fixed 1e-4 margin failed it
+    p = RadialParams(n=2, q=1.8398866053437994, beta=1.5087412573852452)
+    rep = annulus_exclusion(p, 0.4, 1.2)
+    assert rep.inputs["admissible"]
+    assert 0.0 < rep.lhs < 1e-4
+    assert 0.0 < rep.rhs < rep.lhs
+    assert rep.passed
+
+
+def test_shot_counts_stay_superlinear():
+    # Brent's method needs a handful of shots where the two-stage bisection
+    # took 68 (136 on the contact branch)
+    robin = solve_ball(RadialParams(n=2, q=1.0, beta=1.0), 1.1)
+    assert robin.mode == "robin" and 0 < robin.shots <= 15
+    contact = solve_ball(RadialParams(n=2, q=1.3, beta=1.2, c=2.0), 1.1)
+    assert contact.mode == "obstacle_contact" and 0 < contact.shots <= 20
+
+
+def test_lost_bracket_raises_solver_error():
+    # a scan bracket that no longer changes sign at the full step count
+    with pytest.raises(SolverError, match="bracket lost between step counts"):
+        _refine(lambda x: 1.0 + x, 0.0, 1.0)
