@@ -50,6 +50,10 @@ class Mesh:
     n_theta: int
 
     def __post_init__(self):
+        # (beta, K, B, w, A, LU of A) for the last beta solved on this mesh
+        # (see _robin_operator): not a dataclass field, so == and repr ignore
+        # it, and dropped on pickling
+        object.__setattr__(self, "_robin", None)
         v = np.ascontiguousarray(np.asarray(self.vertices, dtype=float))
         t = np.ascontiguousarray(np.asarray(self.triangles, dtype=np.int64))
         b = np.ascontiguousarray(np.asarray(self.boundary_edges, dtype=np.int64))
@@ -90,6 +94,10 @@ class Mesh:
             )
         if rim.size != b.shape[0]:
             raise ValueError("triangulation rim does not match the boundary loop")
+
+    def __getstate__(self):
+        # a SuperLU object cannot be pickled; the copy refactorises on demand
+        return {**self.__dict__, "_robin": None}
 
     @property
     def n_vertices(self) -> int:
@@ -135,7 +143,9 @@ class EnergyReport:
     iterations: int
     converged: bool
     lambda_q: float | None = None
-    factorizations: int = 0  # splu calls made by the minimization
+    # LU factorisations this call built: free-node blocks, plus 1 for
+    # K + beta B unless the mesh already held it for this beta
+    factorizations: int = 0
 
     def __post_init__(self):
         total = self.dirichlet + self.boundary + self.bulk
@@ -208,15 +218,7 @@ def assemble(mesh: Mesh):
     areas = mesh.triangle_areas()
     # edge vector opposite each local vertex
     e = p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]
-    rows, cols, vals = [], [], []
-    for i in range(3):
-        for j in range(3):
-            rows.append(tri[:, i])
-            cols.append(tri[:, j])
-            vals.append(np.sum(e[:, i] * e[:, j], axis=1) / (4.0 * areas))
-    K = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(N, N)
-    ).tocsr()
+    K = _from_local(mesh, lambda i, j: np.sum(e[:, i] * e[:, j], axis=1) / (4.0 * areas))
 
     be = mesh.boundary_edges
     seg = pts[be[:, 1]] - pts[be[:, 0]]
@@ -231,37 +233,64 @@ def assemble(mesh: Mesh):
     return K, B, w
 
 
-def _consistent_mass(mesh: Mesh) -> sp.csr_matrix:
+def _from_local(mesh: Mesh, local) -> sp.csr_matrix:
+    """Global matrix summed from per-triangle 3x3 blocks; local(i, j) gives
+    entry (i, j) of every triangle's block as one array."""
     tri = mesh.triangles
     N = mesh.n_vertices
+    pairs = [(i, j) for i in range(3) for j in range(3)]
+    rows = np.concatenate([tri[:, i] for i, _ in pairs])
+    cols = np.concatenate([tri[:, j] for _, j in pairs])
+    vals = np.concatenate([local(i, j) for i, j in pairs])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(N, N)).tocsr()
+
+
+def _consistent_mass(mesh: Mesh) -> sp.csr_matrix:
     areas = mesh.triangle_areas()
-    rows, cols, vals = [], [], []
-    for i in range(3):
-        for j in range(3):
-            rows.append(tri[:, i])
-            cols.append(tri[:, j])
-            vals.append(areas * ((2.0 if i == j else 1.0) / 12.0))
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(N, N)
-    ).tocsr()
+    return _from_local(mesh, lambda i, j: areas * ((2.0 if i == j else 1.0) / 12.0))
+
+
+def _factor(A):
+    """LU of a symmetric positive definite CSC matrix. On the polar meshes
+    the symmetric minimum-degree ordering gives 0.55-0.6x the factor
+    nonzeros of SuperLU's default COLAMD."""
+    return splu(A, permc_spec="MMD_AT_PLUS_A")
+
+
+def _robin_operator(mesh: Mesh, beta: float):
+    """(K, B, w, A, LU of A, factorisations built) with A = K + beta B in CSC.
+
+    The mesh keeps these for the last beta solved on it, so lambda_2 and
+    minimize_energy at one beta share one LU. A new beta releases the old LU
+    before the next is built, so a mesh holds at most one."""
+    memo = mesh._robin
+    if memo is not None and memo[0] == beta:
+        return (*memo[1:], 0)
+    K, B, w = memo[1:4] if memo is not None else assemble(mesh)
+    memo = None  # no reference to the old LU may outlive this point
+    object.__setattr__(mesh, "_robin", None)
+    A = (K + beta * B).tocsc()
+    object.__setattr__(mesh, "_robin", (beta, K, B, w, A, _factor(A)))
+    return (*mesh._robin[1:], 1)
 
 
 class _ObstacleSolver:
     """Exact minimizer of 1/2 u'Au - r'u over {u >= c} by a primal-dual
     active set iteration, for a sequence of right-hand sides r.
 
-    Holds the factorisation of A, which serves unconstrained passes, and at
-    most one free-node factorisation: the one for the last active set, with
-    that set's coupling A[free, active] @ 1. A solve starts from the previous
-    solve's active set and factorises only when the mask changes; it starts
-    cold (unconstrained pass, then u < c) when that set was empty."""
+    Takes A (CSC) with its factorisation, which serves unconstrained passes,
+    and holds at most one free-node factorisation: the one for the last
+    active set, with that set's coupling A[free, active] @ 1. A solve starts
+    from the previous solve's active set and factorises only when the mask
+    changes; it starts cold (unconstrained pass, then u < c) when that set
+    was empty. factorizations counts the free-node factorisations."""
 
-    def __init__(self, A, c, scale):
+    def __init__(self, A, lu_full, c, scale):
         self.A = A
         self.c = c
         self.scale = scale
-        self.lu_full = splu(A.tocsc())
-        self.factorizations = 1
+        self.lu_full = lu_full
+        self.factorizations = 0
         self.held = None  # (active, free indices, coupling, free-block LU)
 
     def _solve_pinned(self, active, r):
@@ -270,9 +299,9 @@ class _ObstacleSolver:
         if self.held is None or not np.array_equal(active, self.held[0]):
             self.held = None  # release the old factorisation first: at most one is alive
             idx_f = np.nonzero(~active)[0]
-            rows = self.A.tocsc()[idx_f]
+            rows = self.A[idx_f]
             coupling = np.asarray(rows[:, np.nonzero(active)[0]].sum(axis=1)).ravel()
-            self.held = (active, idx_f, coupling, splu(rows[:, idx_f]))
+            self.held = (active, idx_f, coupling, _factor(rows[:, idx_f]))
             self.factorizations += 1
         _, idx_f, coupling, lu = self.held
         u = np.full(r.size, self.c)
@@ -323,8 +352,10 @@ def minimize_energy(
 
     Damped sublinear fixed point: solve the linearized Robin system under the
     obstacle, relax with factor omega, and fall back to projected gradient
-    with backtracking on any energy increase. Stops when the relative energy
-    decrease drops below 1e-12 and the max nodal update below 1e-10.
+    with backtracking on an energy increase beyond 1e-12 relative (smaller
+    rises are rounding). Stops when the relative energy decrease drops below
+    1e-12 and the max nodal update below 1e-10. The LU of K + beta B is the
+    one the mesh holds for this beta, built here if it holds none.
     """
     p = params
     if p.eps != 0.0:
@@ -335,15 +366,14 @@ def minimize_energy(
         raise ValueError("q must lie in [1, 2); use lambda_2 for the linear problem")
     if not 0.0 < omega <= 1.0:
         raise ValueError("omega must lie in (0, 1]")
-    K, B, w = assemble(mesh)
-    A = (K + p.beta * B).tocsr()
+    K, B, w, A, lu, built = _robin_operator(mesh, p.beta)
     scale = max(1.0, float(np.max(np.abs(w))) / max(p.beta, 1e-12))
-    obstacle = _ObstacleSolver(A, p.c, scale)
+    obstacle = _ObstacleSolver(A, lu, p.c, scale)
 
     def energy(u):
         return sum(_energy_terms(K, B, w, p, u))
 
-    u = np.maximum(obstacle.lu_full.solve(w), p.c)
+    u = np.maximum(lu.solve(w), p.c)
     E = energy(u)
     converged = False
     iterations = 0
@@ -359,7 +389,7 @@ def minimize_energy(
             target = obstacle.solve(r)
         u_next = (1.0 - omega) * u + omega * target
         E_next = energy(u_next)
-        if E_next > E + 1e-15 * max(1.0, abs(E)):
+        if E_next > E + 1e-12 * max(1.0, abs(E)):
             # projected gradient with backtracking
             g = A @ u - w * u ** (p.q - 1.0)
             step = 1.0
@@ -396,7 +426,7 @@ def minimize_energy(
         iterations=iterations,
         converged=converged,
         lambda_q=lam,
-        factorizations=obstacle.factorizations,
+        factorizations=built + obstacle.factorizations,
     )
     return ScalarField(mesh, u), report
 
@@ -421,15 +451,14 @@ def lambda_2(
     return_field: bool = False,
 ):
     """Smallest eigenvalue of (stiffness + beta boundary_mass) u = lam M u
-    with the consistent mass M, by inverse power iteration. With
+    with the consistent mass M, by inverse power iteration on the LU the
+    mesh holds for this beta (shared with minimize_energy). With
     return_field=True also returns the sign-normalized eigenfunction."""
     beta = float(beta)
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    K, B, _ = assemble(mesh)
-    A = (K + beta * B).tocsc()
+    _, _, _, A, lu, _ = _robin_operator(mesh, beta)
     M = _consistent_mass(mesh)
-    lu = splu(A)
     absA = abs(A)
     x = np.ones(mesh.n_vertices)
     x /= math.sqrt(float(x @ (M @ x)))

@@ -78,15 +78,6 @@ class StarDomain:
         return StarDomain(self.center, t * self.radii)
 
 
-@dataclass(frozen=True)
-class GeoReport:
-    area: float
-    perimeter: float
-    asymmetry: float
-    best_ball: Ball
-    iso_deficit: float
-
-
 # ---------------------------------------------------------------------------
 # generators
 
@@ -244,14 +235,3 @@ def fraenkel_asymmetry(
     w = res.x if res.fun <= best_val else np.array([xs[best[0]], ys[best[1]]])
     val = float(min(res.fun, best_val))
     return val, Ball(d.center + w, R)
-
-
-def report(d: StarDomain, n_angles: int = 4096) -> GeoReport:
-    asym, ball = fraenkel_asymmetry(d, n_angles=n_angles)
-    return GeoReport(
-        area=area(d),
-        perimeter=perimeter(d),
-        asymmetry=asym,
-        best_ball=ball,
-        iso_deficit=iso_deficit(d),
-    )

@@ -585,11 +585,14 @@ def annulus_exclusion(
 
     hi = 10.0 * (r2 / (p.n * p.beta) + r2 * r2 / (2.0 * p.n) + p.c)
     grid_a = np.linspace(hi * 1e-6, hi, 48)
-    vals = [outer_residual(a, _COARSE_STEPS) for a in grid_a]
+    # shoot the scan lazily: it ends at the first step from negative to
+    # nonnegative
     bracket = None
-    for i in range(len(vals) - 1):
-        if vals[i] < 0.0 <= vals[i + 1]:
-            bracket = (grid_a[i], grid_a[i + 1])
+    val = outer_residual(grid_a[0], _COARSE_STEPS)
+    for a_lo, a_hi in zip(grid_a, grid_a[1:]):
+        prev, val = val, outer_residual(a_hi, _COARSE_STEPS)
+        if prev < 0.0 <= val:
+            bracket = (a_lo, a_hi)
             break
     if bracket is None:
         return vacuous("no sign change of the outer residual in the amplitude scan")

@@ -103,15 +103,6 @@ def test_iso_deficit_signs():
     assert geo.iso_deficit(geo.ellipse(1.5)) > 0.01
 
 
-def test_report_consistency():
-    d = geo.ellipse(1.3)
-    rep = geo.report(d)
-    assert rep.area == geo.area(d)
-    assert rep.perimeter == geo.perimeter(d)
-    assert rep.iso_deficit == geo.iso_deficit(d)
-    assert rep.asymmetry > 0.1
-
-
 def test_validation():
     with pytest.raises(ValueError):
         geo.StarDomain(center=np.zeros(2), radii=np.ones(8))

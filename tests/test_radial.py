@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 from scipy.special import j0, j1
 
+from robinlab import radial
 from robinlab.errors import SolverError
 from robinlab.radial import (
     BallEnergy,
@@ -330,3 +331,28 @@ def test_lost_bracket_raises_solver_error():
     # a scan bracket that no longer changes sign at the full step count
     with pytest.raises(SolverError, match="bracket lost between step counts"):
         _refine(lambda x: 1.0 + x, 0.0, 1.0)
+
+
+def test_annulus_scan_stops_at_the_first_sign_change(monkeypatch):
+    # the 48-point coarse amplitude scan shoots only up to its first step
+    # from a negative to a nonnegative outer residual
+    p = RadialParams(n=2, q=1.5, beta=1.0)
+    shoot = radial._shoot_annulus
+    coarse = []
+
+    def counted(n, q, beta, c, eps, r1, r2, M, a, store=False):
+        if M == radial._COARSE_STEPS:
+            coarse.append(a)
+        return shoot(n, q, beta, c, eps, r1, r2, M, a, store)
+
+    monkeypatch.setattr(radial, "_shoot_annulus", counted)
+    rep = annulus_exclusion(p, 0.4, 1.2)
+    assert rep.inputs["admissible"] and rep.passed
+
+    def residual(a):
+        psi2, s2 = shoot(p.n, p.q, p.beta, p.c, p.eps, 0.4, 1.2, radial._COARSE_STEPS, a)
+        return s2 + p.beta * psi2
+
+    signs = [residual(a) >= 0.0 for a in coarse]
+    assert 2 <= len(coarse) < 48
+    assert signs == [False] * (len(coarse) - 1) + [True]
