@@ -6,6 +6,8 @@ and a tolerance. The side asserted to dominate is always `lhs` (see
 reports). Tolerances are estimated by recomputing both sides at half
 resolution and summing the observed shifts (a Richardson-style error gauge);
 with estimation disabled a fixed fraction of the reference scale is used.
+Each check reads one bundle per shape and resolution (`_Shape`); a sweep
+row and its check share its mesh, the mesh's LU and the c = 0 minimizer.
 
 The domain side is conforming P1, so E(Omega) is overestimated and the
 ball side is a radial quadrature oracle: a pass is evidence, not proof. The
@@ -14,6 +16,7 @@ bias direction is recorded in each report's inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -74,39 +77,6 @@ def _half_domain(d: StarDomain) -> StarDomain:
     return StarDomain(center=d.center, radii=d.radii[::2])
 
 
-@dataclass(frozen=True)
-class _Sides:
-    lhs: float
-    rhs: float
-    context: dict
-
-
-def _with_tolerance(name, sides_at, d, res: Resolution, scale_ref, inputs, provenance):
-    """Evaluate lhs/rhs at the working resolution, then either gauge the
-    tolerance from a half-resolution recomputation or fall back to the
-    default fraction of the reference scale."""
-    fine = sides_at(d, res)
-    if res.estimate_tolerance:
-        coarse = sides_at(_half_domain(d), res.halved())
-        tol = abs(fine.lhs - coarse.lhs) + abs(fine.rhs - coarse.rhs) + 1e-9 * scale_ref(fine)
-    else:
-        tol = res.default_tol * scale_ref(fine)
-    merged = dict(inputs)
-    merged.update(fine.context)
-    return make_report(
-        name=name,
-        lhs=fine.lhs,
-        rhs=fine.rhs,
-        tolerance=tol,
-        inputs=merged,
-        term_provenance=provenance,
-    )
-
-
-def _ball_radius(d: StarDomain) -> float:
-    return geometry.equivalent_ball_radius(d)
-
-
 def _minimize(mesh: fem.Mesh, params: RadialParams):
     """fem.minimize_energy, raising instead of returning an unconverged
     minimizer, so that no report is built on one."""
@@ -118,48 +88,139 @@ def _minimize(mesh: fem.Mesh, params: RadialParams):
     return field, rep
 
 
+class _Shape:
+    """One shape meshed at one resolution. Every solve on the mesh at this
+    beta shares the one LU of K + beta B that the mesh keeps; the c = 0
+    minimizer and ball energy are solved on first use, at most once."""
+
+    def __init__(self, d: StarDomain, res: Resolution, q: float, beta: float):
+        self.d, self.res, self.q, self.beta = d, res, q, beta
+        self.mesh = fem.mesh_star(d, res.n_r, res.n_theta)
+        self.R = geometry.equivalent_ball_radius(d)
+
+    @functools.cached_property
+    def minimizer(self) -> tuple[fem.ScalarField, fem.EnergyReport]:
+        return _minimize(self.mesh, RadialParams(n=2, q=self.q, beta=self.beta))
+
+    @functools.cached_property
+    def ball(self) -> radial.BallEnergy:
+        params = RadialParams(n=2, q=self.q, beta=self.beta)
+        return radial.ball_energy(radial.solve_ball(params, self.R, M=self.res.M))
+
+
+def _with_tolerance(name, sides, shape: _Shape, scale_ref, inputs, provenance):
+    """Evaluate sides(shape) = (lhs, rhs, context), then gauge the tolerance
+    from the sides of the half-resolution bundle, or fall back to
+    default_tol x scale_ref(lhs, rhs, context)."""
+    lhs, rhs, context = fine = sides(shape)
+    if shape.res.estimate_tolerance:
+        coarse = _Shape(_half_domain(shape.d), shape.res.halved(), shape.q, shape.beta)
+        c_lhs, c_rhs, _ = sides(coarse)
+        tol = abs(lhs - c_lhs) + abs(rhs - c_rhs) + 1e-9 * scale_ref(*fine)
+    else:
+        tol = shape.res.default_tol * scale_ref(*fine)
+    return make_report(
+        name=name,
+        lhs=lhs,
+        rhs=rhs,
+        tolerance=tol,
+        inputs={**inputs, **context},
+        term_provenance=provenance,
+    )
+
+
+def _intermediate(shape: _Shape) -> InequalityReport:
+    def sides(s):
+        rep = s.minimizer[1]
+        per = geometry.perimeter(s.d)
+        per_ball = 2.0 * math.pi * s.R
+        lhs = rep.E - s.ball.E
+        rhs = 0.5 * s.beta * rep.inf_u**2 * (per - per_ball)
+        return lhs, rhs, {
+            "E_domain": rep.E,
+            "E_ball": s.ball.E,
+            "inf_u": rep.inf_u,
+            "per": per,
+            "per_ball": per_ball,
+            "ball_radius": s.R,
+            "conforming_bias": "lhs overestimated (conforming fem)",
+        }
+
+    return _with_tolerance(
+        "intermediate",
+        sides,
+        shape,
+        scale_ref=lambda lhs, rhs, ctx: max(1e-6, abs(ctx["E_ball"])),
+        inputs={"q": shape.q, "beta": shape.beta},
+        provenance={
+            "lhs": "fem energy minus radial ball energy",
+            "rhs": "(beta/2) inf_u^2 (perimeter minus ball perimeter), geometry",
+        },
+    )
+
+
+def _quantitative(shape: _Shape, asym: float) -> InequalityReport:
+    def sides(s):
+        lam = s.minimizer[1].lambda_q
+        if lam is None:
+            raise SolverError("nonnegative minimum energy; no eigenvalue to report")
+        lhs = lam - s.ball.lambda_q
+        ctx = {
+            "lambda_domain": lam,
+            "lambda_ball": s.ball.lambda_q,
+            "asymmetry": asym,
+            "ball_radius": s.R,
+            "conforming_bias": "lhs overestimated (conforming fem)",
+        }
+        if asym > ASYMMETRY_CUTOFF:
+            ctx["ratio"] = lhs / asym**2
+        return lhs, 0.0, ctx
+
+    return _with_tolerance(
+        "quantitative",
+        sides,
+        shape,
+        scale_ref=lambda lhs, rhs, ctx: max(1e-6, abs(ctx["lambda_ball"])),
+        inputs={"q": shape.q, "beta": shape.beta},
+        provenance={
+            "lhs": "fem lambda_q minus radial ball lambda_q",
+            "rhs": "zero (nonnegativity case of the stability bound)",
+        },
+    )
+
+
+def _ec_ball(shape: _Shape, params: RadialParams) -> InequalityReport:
+    # the caller's params, c and n included, drive both sides
+    def sides(s):
+        _, rep = _minimize(s.mesh, params)
+        profile = radial.solve_ball(params, s.R, M=s.res.M)
+        return rep.E, radial.ball_energy(profile).E, {
+            "inf_u": rep.inf_u,
+            "ball_radius": s.R,
+            "ball_mode": "contact" if profile.mode == "obstacle_contact" else "robin-type",
+            "conforming_bias": "lhs overestimated (conforming fem)",
+        }
+
+    return _with_tolerance(
+        "ec_ball",
+        sides,
+        shape,
+        scale_ref=lambda lhs, rhs, ctx: max(1e-6, abs(rhs)),
+        inputs={"q": params.q, "beta": params.beta, "c": params.c},
+        provenance={
+            "lhs": "fem shifted energy on the domain",
+            "rhs": "radial shifted energy on the equal-area ball",
+        },
+    )
+
+
 def check_intermediate(
     d: StarDomain, q: float, beta: float, res: Resolution = Resolution()
 ) -> InequalityReport:
     """Energy deficit dominates the weighted perimeter deficit:
     E(Omega) - E(B) >= (beta/2) (inf u)^2 (Per(Omega) - Per(B)) with B the
     equal-area ball."""
-
-    def sides(dom, r):
-        mesh = fem.mesh_star(dom, r.n_r, r.n_theta)
-        _, rep = _minimize(mesh, RadialParams(n=2, q=q, beta=beta))
-        R = _ball_radius(dom)
-        ball = radial.ball_energy(radial.solve_ball(RadialParams(n=2, q=q, beta=beta), R, M=r.M))
-        per = geometry.perimeter(dom)
-        per_ball = 2.0 * math.pi * R
-        lhs = rep.E - ball.E
-        rhs = 0.5 * beta * rep.inf_u**2 * (per - per_ball)
-        return _Sides(
-            lhs,
-            rhs,
-            {
-                "E_domain": rep.E,
-                "E_ball": ball.E,
-                "inf_u": rep.inf_u,
-                "per": per,
-                "per_ball": per_ball,
-                "ball_radius": R,
-                "conforming_bias": "lhs overestimated (conforming fem)",
-            },
-        )
-
-    return _with_tolerance(
-        "intermediate",
-        sides,
-        d,
-        res,
-        scale_ref=lambda s: max(1e-6, abs(s.context["E_ball"])),
-        inputs={"q": q, "beta": beta},
-        provenance={
-            "lhs": "fem energy minus radial ball energy",
-            "rhs": "(beta/2) inf_u^2 (perimeter minus ball perimeter), geometry",
-        },
-    )
+    return _intermediate(_Shape(d, res, q, beta))
 
 
 def check_quantitative(
@@ -168,39 +229,8 @@ def check_quantitative(
     """Eigenvalue-level stability: lambda_q(Omega) - lambda_q(B) >= 0, with
     the ratio against squared Fraenkel asymmetry recorded for constant
     estimation whenever the asymmetry is meaningfully positive."""
-
-    def sides(dom, r):
-        mesh = fem.mesh_star(dom, r.n_r, r.n_theta)
-        lam = fem.lambda_q(mesh, q, beta)
-        R = _ball_radius(dom)
-        lam_ball = radial.ball_energy(
-            radial.solve_ball(RadialParams(n=2, q=q, beta=beta), R, M=r.M)
-        ).lambda_q
-        asym, _ = geometry.fraenkel_asymmetry(dom, n_angles=r.n_angles)
-        lhs = lam - lam_ball
-        ctx = {
-            "lambda_domain": lam,
-            "lambda_ball": lam_ball,
-            "asymmetry": asym,
-            "ball_radius": R,
-            "conforming_bias": "lhs overestimated (conforming fem)",
-        }
-        if asym > ASYMMETRY_CUTOFF:
-            ctx["ratio"] = lhs / asym**2
-        return _Sides(lhs, 0.0, ctx)
-
-    return _with_tolerance(
-        "quantitative",
-        sides,
-        d,
-        res,
-        scale_ref=lambda s: max(1e-6, abs(s.context["lambda_ball"])),
-        inputs={"q": q, "beta": beta},
-        provenance={
-            "lhs": "fem lambda_q minus radial ball lambda_q",
-            "rhs": "zero (nonnegativity case of the stability bound)",
-        },
-    )
+    asym, _ = geometry.fraenkel_asymmetry(d, n_angles=res.n_angles)
+    return _quantitative(_Shape(d, res, q, beta), asym)
 
 
 def check_ec_ball_minimality(
@@ -210,36 +240,7 @@ def check_ec_ball_minimality(
     area, the obstacle level c fixed by the caller."""
     if params.eps != 0.0:
         raise ValueError("the FEM comparison side has no eps-regularized term")
-
-    def sides(dom, r):
-        mesh = fem.mesh_star(dom, r.n_r, r.n_theta)
-        _, rep = _minimize(mesh, params)
-        R = _ball_radius(dom)
-        profile = radial.solve_ball(params, R, M=r.M)
-        ball = radial.ball_energy(profile)
-        return _Sides(
-            rep.E,
-            ball.E,
-            {
-                "inf_u": rep.inf_u,
-                "ball_radius": R,
-                "ball_mode": "contact" if profile.mode == "obstacle_contact" else "robin-type",
-                "conforming_bias": "lhs overestimated (conforming fem)",
-            },
-        )
-
-    return _with_tolerance(
-        "ec_ball",
-        sides,
-        d,
-        res,
-        scale_ref=lambda s: max(1e-6, abs(s.rhs)),
-        inputs={"q": params.q, "beta": params.beta, "c": params.c},
-        provenance={
-            "lhs": "fem shifted energy on the domain",
-            "rhs": "radial shifted energy on the equal-area ball",
-        },
-    )
+    return _ec_ball(_Shape(d, res, params.q, params.beta), params)
 
 
 def check_trace_poincare(
@@ -376,8 +377,10 @@ def sweep(
 
     grid: family parameter values (ellipse axis, perturbation amplitude,
     stadium length, disk radius). For ec_ball the obstacle level per shape
-    is c_factor times the shape's computed inf_u. Rows never raise on a
-    failed inequality; failures are counted and recorded.
+    is c_factor times the shape's computed inf_u. Each row builds one bundle
+    (`_Shape`): the row and its check share its mesh, LU and c = 0 solve.
+    Rows never raise on a failed inequality; failures are counted and
+    recorded.
     """
     grid = [float(g) for g in grid]
     if not grid:
@@ -395,20 +398,17 @@ def sweep(
     ratios = []
     for value in grid:
         d = _make_domain(family, value, k, domain_K)
-        mesh = fem.mesh_star(d, res.n_r, res.n_theta)
-        base_field, base = _minimize(mesh, RadialParams(n=2, q=q, beta=beta))
+        shape = _Shape(d, res, q, beta)
+        asym, _ = geometry.fraenkel_asymmetry(d, n_angles=res.n_angles)
+        field, base = shape.minimizer
         if check == "intermediate":
-            rep = check_intermediate(d, q, beta, res)
+            rep = _intermediate(shape)
         elif check == "quantitative":
-            rep = check_quantitative(d, q, beta, res)
+            rep = _quantitative(shape, asym)
         elif check == "ec_ball":
-            params = RadialParams(n=2, q=q, beta=beta, c=c_factor * base.inf_u)
-            rep = check_ec_ball_minimality(d, params, res)
+            rep = _ec_ball(shape, RadialParams(n=2, q=q, beta=beta, c=c_factor * base.inf_u))
         else:
-            rep = check_trace_poincare(d, q, beta, base_field, res)
-        asym = rep.inputs.get("asymmetry")
-        if asym is None:
-            asym, _ = geometry.fraenkel_asymmetry(d, n_angles=res.n_angles)
+            rep = check_trace_poincare(d, q, beta, field, res)
         row = {
             "family": family,
             "param": value,

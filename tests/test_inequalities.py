@@ -118,6 +118,14 @@ def test_ec_ball_rejects_regularized_params():
         ineq.check_ec_ball_minimality(geometry.disk(1.0), p, RES)
 
 
+def test_ec_ball_rejects_nonplanar_params():
+    # the FEM side solves with the caller's params, so n = 3 is refused, not
+    # silently solved as n = 2
+    p = RadialParams(n=3, q=1.0, beta=1.0, c=0.25)
+    with pytest.raises(ValueError, match="planar"):
+        ineq.check_ec_ball_minimality(geometry.disk(1.0), p, RES)
+
+
 # --- trace inequality -------------------------------------------------------
 
 
@@ -273,6 +281,74 @@ def test_sweep_ec_ball_scales_c_per_shape():
     row = sw.rows[0]
     assert sw.all_passed
     assert row["c"] == pytest.approx(0.4 * row["inf_u"], rel=1e-12)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Call counts of mesh_star, minimize_energy and fraenkel_asymmetry."""
+    counts = {}
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+
+        counts[name] = 0
+        monkeypatch.setattr(module, name, wrapper)
+
+    count(fem, "mesh_star")
+    count(fem, "minimize_energy")
+    count(geometry, "fraenkel_asymmetry")
+    return counts
+
+
+@pytest.mark.parametrize(
+    "check, expected",
+    [
+        # (meshes, minimize_energy calls, asymmetry evaluations) per row: the
+        # row and its check share the working-resolution mesh and c = 0 solve,
+        # and the gauge adds one half-resolution mesh and solve
+        ("intermediate", (2, 2, 1)),
+        ("quantitative", (2, 2, 1)),
+        ("ec_ball", (2, 3, 1)),  # c = 0 for the level, c > 0 at both resolutions
+        ("trace_poincare", (1, 1, 1)),
+    ],
+)
+def test_sweep_row_solves_each_shape_once_per_resolution(calls, check, expected):
+    ineq.sweep("ellipse", [1.25], check, q=1.5, beta=0.5, res=RES, c_factor=1.0)
+    assert (calls["mesh_star"], calls["minimize_energy"], calls["fraenkel_asymmetry"]) == expected
+
+
+def test_ec_ball_check_solves_only_at_its_obstacle_level(calls):
+    # the bundle's c = 0 minimizer is lazy: the public check never starts it
+    p = RadialParams(n=2, q=1.5, beta=0.5, c=0.2)
+    ineq.check_ec_ball_minimality(geometry.ellipse(1.25), p, RES)
+    assert (calls["mesh_star"], calls["minimize_energy"]) == (2, 2)
+
+
+@pytest.mark.parametrize("check", ineq.CHECKS)
+def test_sweep_row_equals_public_check(check):
+    q, beta = 1.5, 0.5
+    d = geometry.ellipse(1.25, K=512)
+    row = ineq.sweep("ellipse", [1.25], check, q=q, beta=beta, res=RES, c_factor=1.0).rows[0]
+    if check == "intermediate":
+        rep = ineq.check_intermediate(d, q, beta, RES)
+    elif check == "quantitative":
+        rep = ineq.check_quantitative(d, q, beta, RES)
+    elif check == "ec_ball":
+        rep = ineq.check_ec_ball_minimality(d, RadialParams(n=2, q=q, beta=beta, c=row["c"]), RES)
+    else:
+        mesh = fem.mesh_star(d, RES.n_r, RES.n_theta)
+        field, _ = fem.minimize_energy(mesh, RadialParams(n=2, q=q, beta=beta))
+        rep = ineq.check_trace_poincare(d, q, beta, field, RES)
+    assert (row["lhs"], row["rhs"], row["tolerance"], row["passed"]) == (
+        rep.lhs,
+        rep.rhs,
+        rep.tolerance,
+        rep.passed,
+    )
 
 
 def test_sweep_csv_deterministic(tmp_path):
