@@ -36,54 +36,44 @@ def _fmt(x: float) -> str:
 def run_experiment(cfg: cfgmod.ExperimentConfig, out=sys.stdout) -> int:
     """Execute every requested check over the config's parameter product.
 
-    Writes <output_dir>/<check>.csv per check and a summary.txt; rerunning
-    overwrites with identical bytes. Returns the exit status.
+    Builds rows one shape at a time, then writes <output_dir>/<check>.csv per
+    check and a summary.txt; reruns write identical bytes. Returns the status.
     """
     os.makedirs(cfg.output_dir, exist_ok=True)
     summary = [f"config {cfg.name}", f"family {cfg.family}", f"grid {list(cfg.grid)}"]
+    rows_by_check = ineq._experiment_rows(
+        cfg.family,
+        cfg.grid,
+        cfg.checks,
+        cfg.q_values,
+        cfg.beta_values,
+        cfg.c_factors,
+        cfg.resolution,
+        cfg.k,
+        cfg.domain_K,
+    )
     total_pass = total_fail = 0
-    artifacts = []
     for check in cfg.checks:
-        rows = []
-        constants = []
-        for q in cfg.q_values:
-            for beta in cfg.beta_values:
-                c_axis = cfg.c_factors if check == "ec_ball" else (0.0,)
-                for cf in c_axis:
-                    sw = ineq.sweep(
-                        cfg.family,
-                        cfg.grid,
-                        check,
-                        q=q,
-                        beta=beta,
-                        res=cfg.resolution,
-                        k=cfg.k,
-                        c_factor=cf,
-                        domain_K=cfg.domain_K,
-                    )
-                    rows.extend(sw.rows)
-                    if sw.empirical_constant is not None:
-                        constants.append(sw.empirical_constant)
+        rows = rows_by_check.get(check, [])
         n_pass = sum(1 for r in rows if r["passed"])
-        n_fail = len(rows) - n_pass
         total_pass += n_pass
-        total_fail += n_fail
+        total_fail += len(rows) - n_pass
         expected = cfg.cardinality(check)
         if len(rows) != expected:
             raise SolverError(
                 f"check {check}: produced {len(rows)} rows, config implies {expected}"
             )
         line = f"check {check}: {n_pass}/{len(rows)} passed"
-        if constants:
-            line += f", empirical constant {_fmt(min(constants))}"
+        constant = ineq._empirical_constant(rows)
+        if constant is not None:
+            line += f", empirical constant {_fmt(constant)}"
         summary.append(line)
-        artifacts.append((check, rows))
     status = STATUS_OK if total_fail == 0 else STATUS_VIOLATION
     summary.append(f"total: {total_pass} passed, {total_fail} failed")
     summary.append("status " + ("ok" if status == STATUS_OK else "violation"))
     # aggregation done; now the single-threaded write phase
-    for check, rows in artifacts:
-        ineq.rows_to_csv(rows, os.path.join(cfg.output_dir, f"{check}.csv"))
+    for check in cfg.checks:
+        ineq.rows_to_csv(rows_by_check[check], os.path.join(cfg.output_dir, f"{check}.csv"))
     with open(
         os.path.join(cfg.output_dir, "summary.txt"), "w", encoding="utf-8", newline="\n"
     ) as fh:

@@ -26,8 +26,8 @@ Recognized keys (R = required):
 
 The q = 2 endpoint parses (it is the linear eigenvalue case) but no sweep
 check accepts it; requesting it is reported as a configuration error at
-dispatch. There is no eps key: the eps-regularized boundary term is a
-radial-solver concern and no batch check consumes it.
+dispatch, before any solve. There is no eps key: the eps-regularized
+boundary term is a radial-solver concern and no batch check consumes it.
 """
 
 from __future__ import annotations

@@ -32,6 +32,8 @@ from .radial import RadialParams, lambda_from_energy, theta_potential
 MAX_OUTER = 500
 MAX_ACTIVE_SET = 60
 OMEGA_DEFAULT = 0.7
+LAMBDA2_TOL = 1e-10
+LAMBDA2_MAX_ITER = 5000
 
 
 @dataclass(frozen=True)
@@ -443,16 +445,11 @@ def lambda_q(mesh: Mesh, q: float, beta: float) -> float:
     return lambda_from_energy(rep.E, q)
 
 
-def lambda_2(
-    mesh: Mesh,
-    beta: float,
-    tol: float = 1e-10,
-    max_iter: int = 5000,
-    return_field: bool = False,
-):
+def lambda_2(mesh: Mesh, beta: float, return_field: bool = False):
     """Smallest eigenvalue of (stiffness + beta boundary_mass) u = lam M u
     with the consistent mass M, by inverse power iteration on the LU the
-    mesh holds for this beta (shared with minimize_energy). With
+    mesh holds for this beta (shared with minimize_energy), to a relative
+    change of LAMBDA2_TOL within LAMBDA2_MAX_ITER steps. With
     return_field=True also returns the sign-normalized eigenfunction."""
     beta = float(beta)
     if beta <= 0.0:
@@ -463,7 +460,7 @@ def lambda_2(
     x = np.ones(mesh.n_vertices)
     x /= math.sqrt(float(x @ (M @ x)))
     lam = float(x @ (A @ x))
-    for _ in range(max_iter):
+    for _ in range(LAMBDA2_MAX_ITER):
         y = lu.solve(M @ x)
         y /= math.sqrt(float(y @ (M @ y)))
         lam_new = float(y @ (A @ y))
@@ -471,7 +468,7 @@ def lambda_2(
         # rounding floor of the quadratic form itself; tiny beta pushes the
         # eigenvalue below what the Rayleigh quotient can resolve relatively
         noise = 1e-14 * float(np.abs(x) @ (absA @ np.abs(x)))
-        if abs(lam_new - lam) <= tol * abs(lam_new) + noise:
+        if abs(lam_new - lam) <= LAMBDA2_TOL * abs(lam_new) + noise:
             if return_field:
                 if x.sum() < 0.0:
                     x = -x

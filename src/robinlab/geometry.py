@@ -18,6 +18,8 @@ from scipy.optimize import minimize
 logger = logging.getLogger(__name__)
 
 MIN_VERTICES = 16
+CENTER_GRID = 21  # asymmetry center search: coarse points per axis
+CENTER_TOL = 1e-6  # and the Nelder-Mead refinement's tolerance
 
 
 @dataclass(frozen=True)
@@ -186,17 +188,12 @@ def _overlap_area(rho_bdy: np.ndarray, dtheta: float, cos_t, sin_t, w, R: float)
     return 0.5 * float(np.sum(seg)) * dtheta
 
 
-def fraenkel_asymmetry(
-    d: StarDomain,
-    n_angles: int = 4096,
-    coarse_grid: int = 21,
-    refine_tol: float = 1e-6,
-) -> tuple[float, Ball]:
+def fraenkel_asymmetry(d: StarDomain, n_angles: int = 4096) -> tuple[float, Ball]:
     """min over equal-area disk centers of |Omega symdiff B| / |Omega|.
 
-    Coarse center grid over the vertex bounding box, then Nelder-Mead
-    refinement of the best cell. Ties between coarse cells within 1e-6 are
-    logged; the first minimizer wins.
+    Coarse grid of CENTER_GRID^2 centers over the vertex bounding box, then
+    Nelder-Mead refinement of the best cell to CENTER_TOL. Ties between
+    coarse cells within 1e-6 are logged; the first minimizer wins.
     """
     A = area(d)
     R = math.sqrt(A / math.pi)
@@ -211,9 +208,9 @@ def fraenkel_asymmetry(
 
     v = d.vertices() - d.center
     lo, hi = v.min(axis=0), v.max(axis=0)
-    xs = np.linspace(lo[0], hi[0], coarse_grid)
-    ys = np.linspace(lo[1], hi[1], coarse_grid)
-    vals = np.empty((coarse_grid, coarse_grid))
+    xs = np.linspace(lo[0], hi[0], CENTER_GRID)
+    ys = np.linspace(lo[1], hi[1], CENTER_GRID)
+    vals = np.empty((CENTER_GRID, CENTER_GRID))
     for i, x in enumerate(xs):
         for jj, y in enumerate(ys):
             vals[i, jj] = sym_diff_frac((x, y))
@@ -228,7 +225,7 @@ def fraenkel_asymmetry(
         sym_diff_frac,
         x0=np.array([xs[best[0]], ys[best[1]]]),
         method="Nelder-Mead",
-        options={"xatol": refine_tol, "fatol": refine_tol * 1e-2, "maxiter": 500},
+        options={"xatol": CENTER_TOL, "fatol": CENTER_TOL * 1e-2, "maxiter": 500},
     )
     if not res.success and res.fun > best_val:
         logger.warning("asymmetry center refinement did not converge: %s", res.message)

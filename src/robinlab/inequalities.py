@@ -6,8 +6,8 @@ and a tolerance. The side asserted to dominate is always `lhs` (see
 reports). Tolerances are estimated by recomputing both sides at half
 resolution and summing the observed shifts (a Richardson-style error gauge);
 with estimation disabled a fixed fraction of the reference scale is used.
-Each check reads one bundle per shape and resolution (`_Shape`); a sweep
-row and its check share its mesh, the mesh's LU and the c = 0 minimizer.
+Rows are built one shape at a time: every check and obstacle level reads
+its bundle (`_Shape`: mesh, LU, c = 0 solve), the `half` twin and one asymmetry.
 
 The domain side is conforming P1, so E(Omega) is overestimated and the
 ball side is a radial quadrature oracle: a pass is evidence, not proof. The
@@ -71,12 +71,6 @@ class Resolution:
         )
 
 
-def _half_domain(d: StarDomain) -> StarDomain:
-    if d.K % 2 != 0 or d.K < 32:
-        return d
-    return StarDomain(center=d.center, radii=d.radii[::2])
-
-
 def _minimize(mesh: fem.Mesh, params: RadialParams):
     """fem.minimize_energy, raising instead of returning an unconverged
     minimizer, so that no report is built on one."""
@@ -91,31 +85,38 @@ def _minimize(mesh: fem.Mesh, params: RadialParams):
 class _Shape:
     """One shape meshed at one resolution. Every solve on the mesh at this
     beta shares the one LU of K + beta B that the mesh keeps; the c = 0
-    minimizer and ball energy are solved on first use, at most once."""
+    minimizer, the ball energy and the half-resolution twin are built on
+    first use, at most once."""
 
     def __init__(self, d: StarDomain, res: Resolution, q: float, beta: float):
         self.d, self.res, self.q, self.beta = d, res, q, beta
+        self.params = RadialParams(n=2, q=q, beta=beta)
         self.mesh = fem.mesh_star(d, res.n_r, res.n_theta)
         self.R = geometry.equivalent_ball_radius(d)
 
     @functools.cached_property
     def minimizer(self) -> tuple[fem.ScalarField, fem.EnergyReport]:
-        return _minimize(self.mesh, RadialParams(n=2, q=self.q, beta=self.beta))
+        return _minimize(self.mesh, self.params)
 
     @functools.cached_property
     def ball(self) -> radial.BallEnergy:
-        params = RadialParams(n=2, q=self.q, beta=self.beta)
-        return radial.ball_energy(radial.solve_ball(params, self.R, M=self.res.M))
+        return radial.ball_energy(radial.solve_ball(self.params, self.R, M=self.res.M))
+
+    @functools.cached_property
+    def half(self) -> "_Shape":
+        d = self.d
+        if d.K % 2 == 0 and d.K >= 32:
+            d = StarDomain(center=d.center, radii=d.radii[::2])
+        return _Shape(d, self.res.halved(), self.q, self.beta)
 
 
-def _with_tolerance(name, sides, shape: _Shape, scale_ref, inputs, provenance):
+def _with_tolerance(name, sides, shape: _Shape, scale_ref, provenance, **inputs):
     """Evaluate sides(shape) = (lhs, rhs, context), then gauge the tolerance
-    from the sides of the half-resolution bundle, or fall back to
-    default_tol x scale_ref(lhs, rhs, context)."""
+    from the sides of shape.half, or fall back to default_tol x
+    scale_ref(lhs, rhs, context). Inputs: q, beta, **inputs, context."""
     lhs, rhs, context = fine = sides(shape)
     if shape.res.estimate_tolerance:
-        coarse = _Shape(_half_domain(shape.d), shape.res.halved(), shape.q, shape.beta)
-        c_lhs, c_rhs, _ = sides(coarse)
+        c_lhs, c_rhs, _ = sides(shape.half)
         tol = abs(lhs - c_lhs) + abs(rhs - c_rhs) + 1e-9 * scale_ref(*fine)
     else:
         tol = shape.res.default_tol * scale_ref(*fine)
@@ -124,7 +125,7 @@ def _with_tolerance(name, sides, shape: _Shape, scale_ref, inputs, provenance):
         lhs=lhs,
         rhs=rhs,
         tolerance=tol,
-        inputs={**inputs, **context},
+        inputs={"q": shape.q, "beta": shape.beta, **inputs, **context},
         term_provenance=provenance,
     )
 
@@ -151,12 +152,16 @@ def _intermediate(shape: _Shape) -> InequalityReport:
         sides,
         shape,
         scale_ref=lambda lhs, rhs, ctx: max(1e-6, abs(ctx["E_ball"])),
-        inputs={"q": shape.q, "beta": shape.beta},
         provenance={
             "lhs": "fem energy minus radial ball energy",
             "rhs": "(beta/2) inf_u^2 (perimeter minus ball perimeter), geometry",
         },
     )
+
+
+def _ratio(lhs: float, asym: float) -> float | None:
+    """lhs / asym^2, the stability constant's estimate, where asym > cutoff."""
+    return lhs / asym**2 if asym > ASYMMETRY_CUTOFF else None
 
 
 def _quantitative(shape: _Shape, asym: float) -> InequalityReport:
@@ -172,8 +177,8 @@ def _quantitative(shape: _Shape, asym: float) -> InequalityReport:
             "ball_radius": s.R,
             "conforming_bias": "lhs overestimated (conforming fem)",
         }
-        if asym > ASYMMETRY_CUTOFF:
-            ctx["ratio"] = lhs / asym**2
+        if (ratio := _ratio(lhs, asym)) is not None:
+            ctx["ratio"] = ratio
         return lhs, 0.0, ctx
 
     return _with_tolerance(
@@ -181,7 +186,6 @@ def _quantitative(shape: _Shape, asym: float) -> InequalityReport:
         sides,
         shape,
         scale_ref=lambda lhs, rhs, ctx: max(1e-6, abs(ctx["lambda_ball"])),
-        inputs={"q": shape.q, "beta": shape.beta},
         provenance={
             "lhs": "fem lambda_q minus radial ball lambda_q",
             "rhs": "zero (nonnegativity case of the stability bound)",
@@ -206,11 +210,11 @@ def _ec_ball(shape: _Shape, params: RadialParams) -> InequalityReport:
         sides,
         shape,
         scale_ref=lambda lhs, rhs, ctx: max(1e-6, abs(rhs)),
-        inputs={"q": params.q, "beta": params.beta, "c": params.c},
         provenance={
             "lhs": "fem shifted energy on the domain",
             "rhs": "radial shifted energy on the equal-area ball",
         },
+        c=params.c,
     )
 
 
@@ -262,7 +266,8 @@ def check_trace_poincare(
     if float(np.max(np.abs(field.values))) == 0.0:
         raise ValueError("field must be nontrivial")
     mesh = field.mesh
-    K, B, w = fem.assemble(mesh)
+    # the mesh's held operator: callers solved the field at this beta on it
+    K, B, w = fem._robin_operator(mesh, beta)[:3]
     u = field.values
     energy_form = float(u @ (K @ u)) + beta * float(u @ (B @ u))
     qnorm = float(w @ np.maximum(u, 0.0) ** q) ** (2.0 / q)
@@ -348,18 +353,81 @@ def check_scaling(profile: RadialProfile, t: float) -> InequalityReport:
 
 
 def _make_domain(family: str, value: float, k: int, K: int):
+    make = {
+        "disk": lambda: geometry.disk(value, K=K),
+        "ellipse": lambda: geometry.ellipse(value, K=K),
+        "perturbed": lambda: geometry.perturbed(1.0, a=value, k=k, K=K),
+        "stadium": lambda: geometry.stadium(value, 1.0, K=K),
+    }[family]
     try:
-        if family == "disk":
-            return geometry.disk(value, K=K)
-        if family == "ellipse":
-            return geometry.ellipse(value, K=K)
-        if family == "perturbed":
-            return geometry.perturbed(1.0, a=value, k=k, K=K)
-        if family == "stadium":
-            return geometry.stadium(value, 1.0, K=K)
+        return make()
     except ValueError as ex:
         raise ConfigError(f"family {family!r} rejects parameter {value!r}: {ex}") from ex
-    raise ConfigError(f"unknown family {family!r}; choose from {FAMILIES}")
+
+
+def _experiment_rows(family, grid, checks, q_values, beta_values, c_factors, res, k, domain_K):
+    """{check: rows} over grid x q x beta (x c_factors for ec_ball, the only
+    check with an obstacle-level axis), each ordered by q, beta, c_factor,
+    then value. One bundle per (value, q, beta) serves every check, so one
+    fine and one half LU live at a time. Arguments are checked first."""
+    grid = [float(g) for g in grid]
+    if not grid:
+        raise ConfigError("parameter grid must be nonempty")
+    if unknown := [c for c in checks if c not in CHECKS]:
+        raise ConfigError(f"unknown check {unknown[0]!r}; choose from {CHECKS}")
+    if family not in FAMILIES:
+        raise ConfigError(f"unknown family {family!r}; choose from {FAMILIES}")
+    if bad := [q for q in q_values if not 1.0 <= q < 2.0]:
+        # every row is built on the nonlinear minimizer; the q = 2 linear
+        # endpoint has its own path (check_trace_poincare on lambda_2's field)
+        raise ConfigError(f"q = {bad[0]} not sweepable; sweep checks need q in [1, 2)")
+    groups = {}  # (check, i_q, i_beta, i_c) -> rows; the first value adds keys in order
+    for value in grid:
+        d = _make_domain(family, value, k, domain_K)
+        asym, _ = geometry.fraenkel_asymmetry(d, n_angles=res.n_angles)
+        for i_q, q in enumerate(q_values):
+            for i_b, beta in enumerate(beta_values):
+                # no local keeps the last shape's field: its mesh holds an LU
+                shape = _Shape(d, res, q, beta)
+                base = shape.minimizer[1]
+                for check in checks:
+                    for i_c, cf in enumerate(c_factors if check == "ec_ball" else (0.0,)):
+                        if check == "intermediate":
+                            rep = _intermediate(shape)
+                        elif check == "quantitative":
+                            rep = _quantitative(shape, asym)
+                        elif check == "ec_ball":
+                            rep = _ec_ball(shape, replace(shape.params, c=cf * base.inf_u))
+                        else:
+                            rep = check_trace_poincare(d, q, beta, shape.minimizer[0], res)
+                        row = {
+                            "family": family,
+                            "param": value,
+                            "k": k if family == "perturbed" else "",
+                            "q": q,
+                            "beta": beta,
+                            "c": rep.inputs.get("c", 0.0),
+                            "check": check,
+                            "lhs": rep.lhs,
+                            "rhs": rep.rhs,
+                            "deficit": rep.deficit,
+                            "tolerance": rep.tolerance,
+                            "passed": rep.passed,
+                            "lambda_q": base.lambda_q if base.lambda_q is not None else "",
+                            "E": base.E,
+                            "inf_u": base.inf_u,
+                            "per": geometry.perimeter(d),
+                            "area": geometry.area(d),
+                            "asymmetry": asym,
+                        }
+                        groups.setdefault((check, i_q, i_b, i_c), []).append(row)
+    return {ch: [r for key, rows in groups.items() if key[0] == ch for r in rows] for ch in checks}
+
+
+def _empirical_constant(rows) -> float | None:
+    """Smallest _ratio over the quantitative rows; None if none has one."""
+    ratios = [_ratio(r["lhs"], r["asymmetry"]) for r in rows if r["check"] == "quantitative"]
+    return min((x for x in ratios if x is not None), default=None)
 
 
 def sweep(
@@ -378,76 +446,23 @@ def sweep(
     grid: family parameter values (ellipse axis, perturbation amplitude,
     stadium length, disk radius). For ec_ball the obstacle level per shape
     is c_factor times the shape's computed inf_u. Each row builds one bundle
-    (`_Shape`): the row and its check share its mesh, LU and c = 0 solve.
-    Rows never raise on a failed inequality; failures are counted and
-    recorded.
+    (`_Shape`). Rows never raise on a failed inequality; failures are
+    counted and recorded.
     """
-    grid = [float(g) for g in grid]
-    if not grid:
-        raise ConfigError("parameter grid must be nonempty")
-    if check not in CHECKS:
-        raise ConfigError(f"unknown check {check!r}; choose from {CHECKS}")
-    if family not in FAMILIES:
-        raise ConfigError(f"unknown family {family!r}; choose from {FAMILIES}")
-    if not 1.0 <= q < 2.0:
-        # every sweep row is built on the nonlinear minimizer; the q = 2
-        # linear endpoint has its own direct path (check_trace_poincare on a
-        # lambda_2 eigenfield)
-        raise ConfigError(f"q = {q} not sweepable; sweep checks need q in [1, 2)")
-    rows = []
-    ratios = []
-    for value in grid:
-        d = _make_domain(family, value, k, domain_K)
-        shape = _Shape(d, res, q, beta)
-        asym, _ = geometry.fraenkel_asymmetry(d, n_angles=res.n_angles)
-        field, base = shape.minimizer
-        if check == "intermediate":
-            rep = _intermediate(shape)
-        elif check == "quantitative":
-            rep = _quantitative(shape, asym)
-        elif check == "ec_ball":
-            rep = _ec_ball(shape, RadialParams(n=2, q=q, beta=beta, c=c_factor * base.inf_u))
-        else:
-            rep = check_trace_poincare(d, q, beta, field, res)
-        row = {
-            "family": family,
-            "param": value,
-            "k": k if family == "perturbed" else "",
-            "q": q,
-            "beta": beta,
-            "c": rep.inputs.get("c", 0.0),
-            "check": check,
-            "lhs": rep.lhs,
-            "rhs": rep.rhs,
-            "deficit": rep.deficit,
-            "tolerance": rep.tolerance,
-            "passed": rep.passed,
-            "lambda_q": base.lambda_q if base.lambda_q is not None else "",
-            "E": base.E,
-            "inf_u": base.inf_u,
-            "per": geometry.perimeter(d),
-            "area": geometry.area(d),
-            "asymmetry": asym,
-        }
-        rows.append(row)
-        if "ratio" in rep.inputs:
-            ratios.append(rep.inputs["ratio"])
+    grouped = _experiment_rows(family, grid, (check,), (q,), (beta,), (c_factor,), res, k, domain_K)
+    rows = grouped[check]
     n_pass = sum(1 for r in rows if r["passed"])
-    constant = min(ratios) if ratios else None
     notes = {}
     if family == "ellipse" and check == "quantitative" and len(rows) >= 2:
-        lhs_seq = [r["lhs"] for r in rows]
-        asym_seq = [r["asymmetry"] for r in rows]
-        increasing = all(a < b for a, b in zip(lhs_seq, lhs_seq[1:])) and all(
-            a < b for a, b in zip(asym_seq, asym_seq[1:])
+        notes["monotone_family_heuristic"] = all(
+            a["lhs"] < b["lhs"] and a["asymmetry"] < b["asymmetry"] for a, b in zip(rows, rows[1:])
         )
-        notes["monotone_family_heuristic"] = increasing
     return SweepResult(
         family=family,
         rows=rows,
         n_pass=n_pass,
         n_fail=len(rows) - n_pass,
-        empirical_constant=constant,
+        empirical_constant=_empirical_constant(rows),
         notes=notes,
     )
 

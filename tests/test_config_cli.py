@@ -1,5 +1,6 @@
 """Config parsing, built-in experiment runs, CLI statuses and artifacts."""
 
+import io
 import os
 
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from robinlab import cli, config as cfgmod
 from robinlab import inequalities as ineq
 from robinlab.errors import ConfigError, SolverError
-from robinlab.reports import SweepResult
 
 MINIMAL = """
 # comment line
@@ -279,12 +279,10 @@ def _fake_row(passed):
 
 
 def test_run_experiment_violation_status(tmp_path, monkeypatch, capsys):
-    def fake_sweep(*args, **kwargs):
-        return SweepResult(
-            family="disk", rows=[_fake_row(False)], n_pass=0, n_fail=1
-        )
+    def fake_rows(*args, **kwargs):
+        return {"quantitative": [_fake_row(False)]}
 
-    monkeypatch.setattr(cli.ineq, "sweep", fake_sweep)
+    monkeypatch.setattr(cli.ineq, "_experiment_rows", fake_rows)
     cfg = cfgmod.parse_config(
         "checks = [quantitative]\nfamily = disk\ngrid = [1.0]\n"
         f"output_dir = {tmp_path / 'v'}\n"
@@ -298,10 +296,10 @@ def test_run_experiment_violation_status(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_solver_failure_status(tmp_path, monkeypatch, capsys):
-    def exploding_sweep(*args, **kwargs):
+    def exploding_rows(*args, **kwargs):
         raise SolverError("synthetic failure")
 
-    monkeypatch.setattr(cli.ineq, "sweep", exploding_sweep)
+    monkeypatch.setattr(cli.ineq, "_experiment_rows", exploding_rows)
     cfg_path = tmp_path / "s.cfg"
     cfg_path.write_text(
         "checks = [quantitative]\nfamily = disk\ngrid = [1.0]\n"
@@ -310,3 +308,85 @@ def test_cli_solver_failure_status(tmp_path, monkeypatch, capsys):
     )
     assert cli.main(["run", str(cfg_path)]) == 3
     assert "solver failure" in capsys.readouterr().err
+
+
+def test_cli_run_q2_fails_before_any_solve(tmp_path, calls, capsys):
+    cfg_path = tmp_path / "q2.cfg"
+    cfg_path.write_text(
+        "checks = [quantitative]\nfamily = ellipse\ngrid = [1.2]\nq = [1.0, 2.0]\n"
+        f"output_dir = {tmp_path / 'q2'}\n",
+        encoding="utf-8",
+    )
+    assert cli.main(["run", str(cfg_path)]) == 2
+    assert "not sweepable" in capsys.readouterr().err
+    assert calls["minimize_energy"] == 0
+
+
+# a multi-check, multi-level experiment small enough for tier-1
+SMALL_EXPERIMENT = """
+checks = [intermediate, quantitative, ec_ball, trace_poincare]
+family = ellipse
+grid = [1.15, 1.3]
+q = [1.0, 1.5]
+beta = [0.5, 2.0]
+c_factor = [0.5, 2.0]
+n_r = 16
+n_theta = 32
+K = 64
+M = 256
+n_angles = 256
+"""
+
+
+def _run_small_experiment(tmp_path, monkeypatch):
+    """(status, config, {check: rows written})."""
+    cfg = cfgmod.parse_config(SMALL_EXPERIMENT + f"output_dir = {tmp_path / 'x'}\n")
+    written = {}
+    write = cli.ineq.rows_to_csv
+
+    def recording_write(rows, path):
+        written[os.path.splitext(os.path.basename(path))[0]] = rows
+        write(rows, path)
+
+    monkeypatch.setattr(cli.ineq, "rows_to_csv", recording_write)
+    status = cli.run_experiment(cfg, out=io.StringIO())
+    return status, cfg, written
+
+
+def test_run_experiment_rows_equal_single_check_sweeps(tmp_path, monkeypatch):
+    status, cfg, written = _run_small_experiment(tmp_path, monkeypatch)
+    assert list(written) == list(cfg.checks)
+    all_passed = True
+    for check in cfg.checks:
+        expected = []
+        for q in cfg.q_values:
+            for beta in cfg.beta_values:
+                for cf in cfg.c_factors if check == "ec_ball" else (0.0,):
+                    sw = ineq.sweep(
+                        cfg.family,
+                        cfg.grid,
+                        check,
+                        q=q,
+                        beta=beta,
+                        res=cfg.resolution,
+                        k=cfg.k,
+                        c_factor=cf,
+                        domain_K=cfg.domain_K,
+                    )
+                    expected.extend(sw.rows)
+                    all_passed &= sw.all_passed
+        # repr round-trips floats exactly: equal strings are equal bits
+        got = [[repr(r[c]) for c in ineq.SWEEP_COLUMNS] for r in written[check]]
+        assert got == [[repr(r[c]) for c in ineq.SWEEP_COLUMNS] for r in expected], check
+    assert status == (0 if all_passed else 4)
+
+
+def test_run_experiment_solves_each_shape_once(tmp_path, monkeypatch, calls):
+    _, cfg, _ = _run_small_experiment(tmp_path, monkeypatch)
+    n_shapes = len(cfg.grid) * len(cfg.q_values) * len(cfg.beta_values)
+    # per shape: a fine and a half mesh; the c = 0 solve at both resolutions
+    # and each obstacle level at both; one asymmetry per grid value
+    assert calls["mesh_star"] == 2 * n_shapes
+    assert calls["assemble"] == 2 * n_shapes
+    assert calls["minimize_energy"] == (2 + 2 * len(cfg.c_factors)) * n_shapes
+    assert calls["fraenkel_asymmetry"] == len(cfg.grid)

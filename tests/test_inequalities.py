@@ -283,27 +283,6 @@ def test_sweep_ec_ball_scales_c_per_shape():
     assert row["c"] == pytest.approx(0.4 * row["inf_u"], rel=1e-12)
 
 
-@pytest.fixture
-def calls(monkeypatch):
-    """Call counts of mesh_star, minimize_energy and fraenkel_asymmetry."""
-    counts = {}
-
-    def count(module, name):
-        inner = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return inner(*args, **kwargs)
-
-        counts[name] = 0
-        monkeypatch.setattr(module, name, wrapper)
-
-    count(fem, "mesh_star")
-    count(fem, "minimize_energy")
-    count(geometry, "fraenkel_asymmetry")
-    return counts
-
-
 @pytest.mark.parametrize(
     "check, expected",
     [
@@ -319,6 +298,13 @@ def calls(monkeypatch):
 def test_sweep_row_solves_each_shape_once_per_resolution(calls, check, expected):
     ineq.sweep("ellipse", [1.25], check, q=1.5, beta=0.5, res=RES, c_factor=1.0)
     assert (calls["mesh_star"], calls["minimize_energy"], calls["fraenkel_asymmetry"]) == expected
+
+
+def test_trace_poincare_row_reads_the_solved_operator(calls):
+    # the trace check reads K, B and w from the LU the row's solve left on
+    # the mesh: one assembly per mesh
+    ineq.sweep("ellipse", [1.25], "trace_poincare", q=1.5, beta=0.5, res=RES)
+    assert calls["assemble"] == 1
 
 
 def test_ec_ball_check_solves_only_at_its_obstacle_level(calls):
