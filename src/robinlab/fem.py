@@ -259,6 +259,12 @@ def _factor(A):
     return splu(A, permc_spec="MMD_AT_PLUS_A")
 
 
+def _matrices(mesh: Mesh):
+    """(K, B, w) of assemble, read from the mesh's held operator when it has
+    one; assembling afresh leaves the mesh as it was."""
+    return mesh._robin[1:4] if mesh._robin is not None else assemble(mesh)
+
+
 def _robin_operator(mesh: Mesh, beta: float):
     """(K, B, w, A, LU of A, factorisations built) with A = K + beta B in CSC.
 
@@ -268,7 +274,7 @@ def _robin_operator(mesh: Mesh, beta: float):
     memo = mesh._robin
     if memo is not None and memo[0] == beta:
         return (*memo[1:], 0)
-    K, B, w = memo[1:4] if memo is not None else assemble(mesh)
+    K, B, w = _matrices(mesh)
     memo = None  # no reference to the old LU may outlive this point
     object.__setattr__(mesh, "_robin", None)
     A = (K + beta * B).tocsc()

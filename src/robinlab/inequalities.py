@@ -194,14 +194,19 @@ def _quantitative(shape: _Shape, asym: float) -> InequalityReport:
 
 
 def _ec_ball(shape: _Shape, params: RadialParams) -> InequalityReport:
-    # the caller's params, c and n included, drive both sides
+    # the caller's params, c and n included, drive both sides; at the
+    # shape's own params (c = 0) they are the shape's solves
     def sides(s):
-        _, rep = _minimize(s.mesh, params)
-        profile = radial.solve_ball(params, s.R, M=s.res.M)
-        return rep.E, radial.ball_energy(profile).E, {
+        if params == s.params:
+            rep, ball, mode = s.minimizer[1], s.ball, "robin"
+        else:
+            rep = _minimize(s.mesh, params)[1]
+            profile = radial.solve_ball(params, s.R, M=s.res.M)
+            ball, mode = radial.ball_energy(profile), profile.mode
+        return rep.E, ball.E, {
             "inf_u": rep.inf_u,
             "ball_radius": s.R,
-            "ball_mode": "contact" if profile.mode == "obstacle_contact" else "robin-type",
+            "ball_mode": "contact" if mode == "obstacle_contact" else "robin-type",
             "conforming_bias": "lhs overestimated (conforming fem)",
         }
 
@@ -266,8 +271,7 @@ def check_trace_poincare(
     if float(np.max(np.abs(field.values))) == 0.0:
         raise ValueError("field must be nontrivial")
     mesh = field.mesh
-    # the mesh's held operator: callers solved the field at this beta on it
-    K, B, w = fem._robin_operator(mesh, beta)[:3]
+    K, B, w = fem._matrices(mesh)
     u = field.values
     energy_form = float(u @ (K @ u)) + beta * float(u @ (B @ u))
     qnorm = float(w @ np.maximum(u, 0.0) ** q) ** (2.0 / q)

@@ -5,7 +5,10 @@ the boundary law psi'(R) + beta (psi(R) + c (1+eps) psi(R)^eps) = 0 (outer
 normal; the inner boundary of an annulus flips the sign of psi'). Shooting on
 the center value a = psi(0) with one fixed-step RK4 integrator, whose source
 term is (psi + c)^(q-1) here and lam psi for the q = 2 eigenvalue; Brent's
-method (scipy's brentq) finds the root on a sign-changing bracket. The first
+method (scipy's brentq) finds the root on a sign-changing bracket. The ball
+profile at q = 1 is the quadratic a - r^2/(2n), so its center value is closed
+form and one pass builds it; at q > 1 the root is searched at _COARSE_STEPS
+steps, then found at full resolution in a tight bracket around it. The first
 step uses the even series psi ~ a - A r^2/(2n) + B r^4 to clear the (n-1)/r
 singularity, with A = (a+c)^(q-1) and B = (q-1) A^2 / (8 n (n+2) (a+c)).
 
@@ -311,12 +314,18 @@ def shoot_once(params: RadialParams, R: float, a: float, M: int = DEFAULT_STEPS)
 def solve_ball(params: RadialParams, R: float, M: int = DEFAULT_STEPS) -> RadialProfile:
     """Shoot for the radial minimizer profile on the ball of radius R.
 
-    Brent's method on the center value against the boundary residual
+    The center value is a root of the boundary residual
     psi'(R) + beta (psi(R) + c (1+eps) psi(R)^eps). When c > 0 and eps = 0 the
     Dirichlet shot psi(R) = 0 is solved first: if its root meets the contact
     slope condition psi'(R) + beta c >= -1e-9 the profile is returned in mode
-    'obstacle_contact'; otherwise the Robin root lies above it. The profile
-    records in `shots` how many integrator passes built it.
+    'obstacle_contact'; otherwise the Robin root lies above it.
+
+    At q = 1, x = psi(R) solves x + c (1+eps) x^eps = R/(n beta) without a
+    shot, and one pass at a = x + R^2/(2n) builds the profile. At q > 1 the
+    search runs at min(_COARSE_STEPS, M) steps; each root is then found at M
+    in a bracket of relative width 1e-9 around it, widened x1000 per step up
+    to the coarse bracket, and the mode is decided at M. The profile records
+    in `shots` how many integrator passes built it.
     """
     p = params
     R = float(R)
@@ -330,31 +339,69 @@ def solve_ball(params: RadialParams, R: float, M: int = DEFAULT_STEPS) -> Radial
             "use eigenvalue_q2_ball for the linear problem"
         )
     shots = 0
-    # (psi(R), psi'(R)) by center value: brentq re-evaluates its bracket ends,
-    # and the Robin search starts on shots of the Dirichlet search
+    coarse = min(_COARSE_STEPS, M)
+    # (psi(R), psi'(R)) by (center value, steps): brentq re-evaluates its
+    # bracket ends, and the Robin search starts on shots of the Dirichlet search
     shot_at = {}
 
-    def shoot(a):
+    def shoot(a, steps=M):
         nonlocal shots
-        if a not in shot_at:
+        if (a, steps) not in shot_at:
             shots += 1
-            shot_at[a] = _shoot_ball(p.n, p.q, p.c, R, M, a)
-        return shot_at[a]
-
-    def profile(a, residual, mode):
-        nonlocal shots
-        shots += 1
-        _, _, arrays = _shoot_ball(p.n, p.q, p.c, R, M, a, store=True)
-        return RadialProfile(p, *arrays, float(residual), mode, shots)
+            shot_at[a, steps] = _shoot_ball(p.n, p.q, p.c, R, steps, a)
+        return shot_at[a, steps]
 
     def bc_residual(psiR, sR):
         return sR + p.beta * (psiR + p.c * (1.0 + p.eps) * _pospow(psiR, p.eps))
 
-    def robin(a):
-        return bc_residual(*shoot(a))
+    def profile(a, mode):
+        # one stored pass at M, which also gives the residual that admits a
+        # Robin-type root
+        nonlocal shots
+        shots += 1
+        psiR, sR, arrays = _shoot_ball(p.n, p.q, p.c, R, M, a, store=True)
+        contact = mode == "obstacle_contact"
+        res = psiR if contact else bc_residual(psiR, sR)
+        if contact or (abs(res) <= BC_TOL and psiR >= -1e-12):
+            return RadialProfile(p, *arrays, float(res), mode, shots)
+        if p.c > 0.0:
+            raise SolverError("root search pinched at psi(R) -> 0; no admissible profile")
+        raise SolverError("no boundary-residual root found for c = 0")
 
-    def dirichlet(a):
-        return shoot(a)[0]
+    robin_mode = "robin" if p.c == 0.0 else "modified_robin"
+    if p.q == 1.0:
+        # psi = a - r^2/(2n) exactly, so psi'(R) = -R/n and x = psi(R) solves
+        # x + c (1+eps) x^eps = R/(n beta); at eps = 0 the slope condition
+        # -R/n + beta c >= -1e-9 selects the contact profile x = 0
+        rhs = R / (p.n * p.beta)
+        x, mode = rhs - p.c, robin_mode
+        if p.c > 0.0 and p.eps > 0.0:
+            x = _root(lambda v: v + p.c * (1.0 + p.eps) * v**p.eps - rhs, 0.0, rhs)
+        elif p.c > 0.0 and p.beta * x <= BC_TOL:
+            x, mode = 0.0, "obstacle_contact"
+        return profile(x + R * R / (2.0 * p.n), mode)
+
+    def robin(a, steps=coarse):
+        return bc_residual(*shoot(a, steps))
+
+    def dirichlet(a, steps=coarse):
+        return shoot(a, steps)[0]
+
+    def fine_root(f, a, lo, hi):
+        # the root at M lies O(M^-4) from the coarse root a, so Brent starts
+        # on a bracket of relative width 1e-9 around a
+        if coarse == M:
+            return a
+        w = 5e-10 * a
+        while (bracket := (max(lo, a - w), min(hi, a + w))) != (lo, hi):
+            try:
+                return _root(lambda x: f(x, M), *bracket)
+            except ValueError:  # brentq found no sign change at M
+                w *= 1000.0
+        return _refine(lambda x: f(x, M), lo, hi)
+
+    def meets_slope(a):
+        return shoot(a)[1] + p.beta * p.c >= -BC_TOL
 
     def widen(f, hi):
         f_hi = f(hi)
@@ -378,10 +425,13 @@ def solve_ball(params: RadialParams, R: float, M: int = DEFAULT_STEPS) -> Radial
             raise SolverError("contact shot found no sign change at a = 0")
         hi = widen(dirichlet, hi)
         lo = _root(dirichlet, 0.0, hi)
-        psiR, sR = shoot(lo)
-        if sR + p.beta * p.c >= -BC_TOL:
-            return profile(lo, psiR, "obstacle_contact")
-    elif p.c == 0.0 and p.q > 1.0:
+        # the slope condition at M, on the coarse root and then on the root
+        # at M: only a contact profile needs the latter
+        if meets_slope(lo):
+            lo = fine_root(dirichlet, lo, 0.0, hi)
+            if meets_slope(lo):
+                return profile(lo, "obstacle_contact")
+    elif p.c == 0.0:
         # a = 0 is the trivial solution, and the root can lie many decades
         # below hi when q is near 2: shrink lo until the residual is negative,
         # each rejected lo bounding the root from above
@@ -393,14 +443,7 @@ def solve_ball(params: RadialParams, R: float, M: int = DEFAULT_STEPS) -> Radial
             hi, lo = lo, 0.1 * lo
             shrink += 1
     hi = widen(robin, hi)
-    a_root = _root(robin, lo, hi)
-    psiR, sR = shoot(a_root)
-    res = bc_residual(psiR, sR)
-    if abs(res) <= BC_TOL and psiR >= -1e-12:
-        return profile(a_root, res, "robin" if p.c == 0.0 else "modified_robin")
-    if p.c > 0.0:
-        raise SolverError("root search pinched at psi(R) -> 0; no admissible profile")
-    raise SolverError("no boundary-residual root found for c = 0")
+    return profile(fine_root(robin, _root(robin, lo, hi), lo, hi), robin_mode)
 
 
 # ---------------------------------------------------------------------------

@@ -307,6 +307,34 @@ def test_trace_poincare_row_reads_the_solved_operator(calls):
     assert calls["assemble"] == 1
 
 
+def test_ec_ball_row_at_level_zero_reads_the_shape_solves(calls):
+    # at c_factor = 0 the obstacle problem is the shape's own c = 0 problem:
+    # one minimization per resolution, and the row holds those solves' values
+    row = ineq.sweep("ellipse", [1.25], "ec_ball", q=1.5, beta=0.5, res=RES, c_factor=0.0).rows[0]
+    assert calls["minimize_energy"] == 2
+    p = RadialParams(n=2, q=1.5, beta=0.5)
+    d = geometry.ellipse(1.25, K=512)
+    assert row["lhs"] == fem.minimize_energy(fem.mesh_star(d, RES.n_r, RES.n_theta), p)[1].E
+    R = geometry.equivalent_ball_radius(d)
+    assert row["rhs"] == radial.ball_energy(radial.solve_ball(p, R, M=RES.M)).E
+
+
+def test_trace_poincare_on_a_fresh_mesh_builds_no_factorisation(monkeypatch):
+    # a field on a mesh that holds no operator: K, B and w are assembled,
+    # nothing is factorised or left on the mesh, and the report is that of
+    # the mesh the field was solved on
+    d = geometry.ellipse(1.25)
+    solved = fem.mesh_star(d, 24, 48)
+    field, _ = fem.minimize_energy(solved, RadialParams(n=2, q=1.5, beta=0.5))
+    on_solved = ineq.check_trace_poincare(d, 1.5, 0.5, field, RES)
+    fresh = fem.mesh_star(d, 24, 48)
+    factorised = []
+    monkeypatch.setattr(fem, "_factor", factorised.append)
+    rep = ineq.check_trace_poincare(d, 1.5, 0.5, fem.ScalarField(fresh, field.values), RES)
+    assert factorised == [] and fresh._robin is None
+    assert rep == on_solved
+
+
 def test_ec_ball_check_solves_only_at_its_obstacle_level(calls):
     # the bundle's c = 0 minimizer is lazy: the public check never starts it
     p = RadialParams(n=2, q=1.5, beta=0.5, c=0.2)

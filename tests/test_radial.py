@@ -356,3 +356,102 @@ def test_annulus_scan_stops_at_the_first_sign_change(monkeypatch):
     signs = [residual(a) >= 0.0 for a in coarse]
     assert 2 <= len(coarse) < 48
     assert signs == [False] * (len(coarse) - 1) + [True]
+
+
+def _passes(monkeypatch):
+    """Integrator passes of solve_ball, by step count."""
+    passes = {}
+    shoot = radial._shoot_ball
+
+    def counted(n, q, c, R, M, a, store=False):
+        passes[M] = passes.get(M, 0) + 1
+        return shoot(n, q, c, R, M, a, store)
+
+    monkeypatch.setattr(radial, "_shoot_ball", counted)
+    return passes
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize(
+    "f_c, eps, mode",
+    [
+        (0.0, 0.0, "robin"),
+        (0.4, 0.0, "modified_robin"),
+        (2.0, 0.0, "obstacle_contact"),
+        (1.0, 0.0, "obstacle_contact"),  # the contact threshold c = R/(n beta)
+        (0.4, 0.3, "modified_robin"),
+    ],
+)
+def test_q1_center_value_is_closed_form_from_one_pass(monkeypatch, n, f_c, eps, mode):
+    # psi = a - r^2/(2n), so x = psi(R) solves x + c (1+eps) x^eps = R/(n beta)
+    beta, R = 0.8, 1.3
+    rhs = R / (n * beta)
+    c = f_c * rhs
+    if eps > 0.0:
+        x = brentq(lambda x: x + c * (1 + eps) * x**eps - rhs, 0.0, rhs, xtol=1e-300)
+    else:
+        x = max(rhs - c, 0.0)
+    passes = _passes(monkeypatch)
+    prof = solve_ball(RadialParams(n=n, q=1.0, beta=beta, c=c, eps=eps), R)
+    assert prof.mode == mode
+    assert abs(prof.psi[0] - (x + R**2 / (2 * n))) <= 1e-13 * prof.psi[0]
+    assert passes == {radial.DEFAULT_STEPS: 1} and prof.shots == 1
+
+
+def test_penalized_ball_at_q1_shoots_once_per_radius(monkeypatch):
+    passes = _passes(monkeypatch)
+    penalized_ball_argmin(RadialParams(n=2, q=1.0, beta=1.0), math.pi, 0.0, n_grid=12, M=1024)
+    assert passes == {1024: 12}
+
+
+@pytest.mark.parametrize(
+    "kw, R, mode",
+    [
+        (dict(n=2, q=1.3, beta=1.2, c=2.0), 1.1, "obstacle_contact"),
+        (dict(n=3, q=1.93, beta=2.70), 0.653, "robin"),  # center value ~4e-14
+        (dict(n=2, q=1.25, c=1.03e-164), 1.0, "modified_robin"),
+        (dict(n=2, q=1.5, beta=1.0), 1.0, "robin"),
+        (dict(n=3, q=1.5, beta=0.7, c=0.1), 1.2, "modified_robin"),
+        (dict(n=2, q=1.7, beta=0.8, c=0.1, eps=0.4), 1.2, "modified_robin"),
+    ],
+)
+def test_full_resolution_passes_only_near_the_root(monkeypatch, kw, R, mode):
+    # the search runs at _COARSE_STEPS; at M only the roots are refined, to a
+    # residual below what the coarse root leaves there (4e-15 |psi'(R)| or
+    # more on these cases)
+    passes = _passes(monkeypatch)
+    prof = solve_ball(RadialParams(**kw), R)
+    assert prof.mode == mode
+    assert passes[radial.DEFAULT_STEPS] <= 10
+    assert prof.shots == sum(passes.values())
+    assert abs(prof.bc_residual) <= min(1e-12, 1e-15 * abs(prof.dpsi[-1]))
+
+
+def test_displaced_coarse_root_widens_the_bracket(monkeypatch):
+    # a coarse search that sees every center value 1e-6 (relative) too high
+    # puts its root outside the first bracket at M: widening still finds the
+    # same root; displaced by 100x the root leaves the coarse bracket
+    p = RadialParams(n=2, q=1.5, beta=1.0)
+    shoot = radial._shoot_ball
+    fine = []
+
+    def displaced(n, q, c, R, M, a, store=False):
+        if M == radial._COARSE_STEPS:
+            a *= 1.0 + shift
+        else:
+            fine.append(a)
+        return shoot(n, q, c, R, M, a, store)
+
+    monkeypatch.setattr(radial, "_shoot_ball", displaced)
+    shift = 0.0
+    ref = solve_ball(p, 1.0)
+    n_ref = len(fine)
+    fine.clear()
+    shift = 1e-6
+    prof = solve_ball(p, 1.0)
+    assert len(fine) >= n_ref + 4  # two brackets at M without a sign change
+    assert np.max(np.abs(prof.psi - ref.psi)) <= 1e-12 * ref.psi[0]
+    assert abs(prof.bc_residual) <= 1e-12
+    shift = 99.0
+    with pytest.raises(SolverError, match="bracket lost between step counts"):
+        solve_ball(p, 1.0)
