@@ -173,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     ball.add_argument("--c", type=float, default=0.0)
     ball.add_argument("--eps", type=float, default=0.0)
     ball.add_argument("--R", type=float, default=1.0)
-    ball.add_argument("--M", type=int, default=4096)
+    ball.add_argument("--M", type=int, default=radial.DEFAULT_STEPS)
 
     check = sub.add_parser("check", help="run one inequality check over a shape grid")
     check.add_argument("name", choices=ineq.CHECKS)
@@ -182,12 +182,12 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--q", type=float, default=1.0)
     check.add_argument("--beta", type=float, default=1.0)
     check.add_argument("--c-factor", dest="c_factor", type=float, default=0.0)
-    check.add_argument("--k", type=int, default=2)
-    check.add_argument("--n-r", dest="n_r", type=int, default=48)
-    check.add_argument("--n-theta", dest="n_theta", type=int, default=96)
-    check.add_argument("--K", type=int, default=512)
-    check.add_argument("--M", type=int, default=4096)
-    check.add_argument("--n-angles", dest="n_angles", type=int, default=4096)
+    check.add_argument("--k", type=int, default=cfgmod.ExperimentConfig.k)
+    check.add_argument("--n-r", dest="n_r", type=int, default=ineq.Resolution.n_r)
+    check.add_argument("--n-theta", dest="n_theta", type=int, default=ineq.Resolution.n_theta)
+    check.add_argument("--K", type=int, default=cfgmod.ExperimentConfig.domain_K)
+    check.add_argument("--M", type=int, default=ineq.Resolution.M)
+    check.add_argument("--n-angles", dest="n_angles", type=int, default=ineq.Resolution.n_angles)
     check.add_argument(
         "--fixed-tolerance",
         action="store_true",

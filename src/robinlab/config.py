@@ -46,6 +46,9 @@ _BOOL = ("estimate_tolerance",)
 _STR = ("family", "name", "output_dir")
 _KNOWN = set(_LIST_FLOAT + _LIST_STR + _INT + _FLOAT + _BOOL + _STR)
 _REQUIRED = ("checks", "family", "grid")
+_RESOLUTION = ("n_r", "n_theta", "M", "n_angles", "estimate_tolerance", "default_tol")
+# config keys whose ExperimentConfig field has another name
+_FIELDS = {"q": "q_values", "beta": "beta_values", "c_factor": "c_factors", "K": "domain_K"}
 
 
 @dataclass(frozen=True)
@@ -151,30 +154,13 @@ def parse_config(text: str, name: str = "config") -> ExperimentConfig:
     for key in _REQUIRED:
         if key not in values:
             raise ConfigError(f'config field "{key}": missing required key')
+    # only the keys the file sets are passed on: the dataclasses hold the defaults
     try:
-        res = Resolution(
-            n_r=values.pop("n_r", 48),
-            n_theta=values.pop("n_theta", 96),
-            M=values.pop("M", 4096),
-            n_angles=values.pop("n_angles", 4096),
-            estimate_tolerance=values.pop("estimate_tolerance", True),
-            default_tol=values.pop("default_tol", 1e-3),
-        )
+        res = Resolution(**{key: values.pop(key) for key in _RESOLUTION if key in values})
     except ValueError as ex:
         raise ConfigError(f"config resolution fields: {ex}") from ex
-    return ExperimentConfig(
-        name=values.pop("name", name),
-        checks=values.pop("checks"),
-        family=values.pop("family"),
-        grid=values.pop("grid"),
-        q_values=values.pop("q", (1.0,)),
-        beta_values=values.pop("beta", (1.0,)),
-        c_factors=values.pop("c_factor", (0.0,)),
-        k=values.pop("k", 2),
-        domain_K=values.pop("K", 512),
-        resolution=res,
-        output_dir=values.pop("output_dir", ""),
-    )
+    values.setdefault("name", name)
+    return ExperimentConfig(resolution=res, **{_FIELDS.get(k, k): v for k, v in values.items()})
 
 
 def load_config(path) -> ExperimentConfig:

@@ -4,13 +4,15 @@ Profiles solve psi'' + (n-1)/r psi' + (psi + c)^(q-1) = 0 with psi'(0) = 0 and
 the boundary law psi'(R) + beta (psi(R) + c (1+eps) psi(R)^eps) = 0 (outer
 normal; the inner boundary of an annulus flips the sign of psi'). Shooting on
 the center value a = psi(0) with one fixed-step RK4 integrator, whose source
-term is (psi + c)^(q-1) here and lam psi for the q = 2 eigenvalue; Brent's
-method (scipy's brentq) finds the root on a sign-changing bracket. The ball
-profile at q = 1 is the quadratic a - r^2/(2n), so its center value is closed
-form and one pass builds it; at q > 1 the root is searched at _COARSE_STEPS
-steps, then found at full resolution in a tight bracket around it. The first
-step uses the even series psi ~ a - A r^2/(2n) + B r^4 to clear the (n-1)/r
-singularity, with A = (a+c)^(q-1) and B = (q-1) A^2 / (8 n (n+2) (a+c)).
+term is (psi + c)^(q-1) here and lam psi for the q = 2 eigenvalue. Every
+shooting root takes one coarse-to-fine path: a bracket is searched (or
+scanned) at min(_COARSE_STEPS, M) steps, Brent's method (scipy's brentq)
+finds the root there, and _refine finds the root at M steps in a bracket of
+relative width 1e-9 around it, widened x1000 per step up to the coarse
+bracket. The ball profile at q = 1 is the quadratic a - r^2/(2n), so its
+center value is closed form and one pass builds it. The first step uses the
+even series psi ~ a - A r^2/(2n) + B r^4 to clear the (n-1)/r singularity,
+with A = (a+c)^(q-1) and B = (q-1) A^2 / (8 n (n+2) (a+c)).
 
 The ball energy is
     E = 1/2 int |psi'|^2 + (beta/2) Per(B_R) (psi_R^2 + 2 c psi_R^(1+eps))
@@ -63,6 +65,16 @@ def _pospow(x: float, e: float) -> float:
     if e == 0.0:
         return 1.0 if x > 0.0 else 0.0
     return x**e if x > 0.0 else 0.0
+
+
+def _flux(psi, beta, c, eps):
+    """Robin flux of the boundary law psi' + beta (psi + c (1+eps) psi^eps) = 0."""
+    return beta * (psi + c * (1.0 + eps) * _pospow(psi, eps))
+
+
+def _boundary_density(psi, c, eps):
+    """psi^2 + 2 c psi^(1+eps), which beta/2 turns into boundary energy density."""
+    return psi**2 + 2.0 * c * _pospow(psi, 1.0 + eps)
 
 
 @dataclass(frozen=True)
@@ -272,8 +284,7 @@ def _shoot_ball(n, q, c, R, M, a, store=False):
 def _shoot_annulus(n, q, beta, c, eps, r1, r2, M, a, store=False):
     """Integrate outward from r1 with psi(r1)=a and the inner boundary law
     -psi'(r1) + beta (a + c(1+eps) a^eps) = 0."""
-    s = beta * (a + c * (1.0 + eps) * _pospow(a, eps))
-    return _rk4(n, _source(q, c), r1, (r2 - r1) / M, M, [(a, s)], store)
+    return _rk4(n, _source(q, c), r1, (r2 - r1) / M, M, [(a, _flux(a, beta, c, eps))], store)
 
 
 def _root(f, lo, hi):
@@ -286,14 +297,23 @@ def _root(f, lo, hi):
     return a
 
 
-def _refine(f, lo, hi):
-    """Root of f at the full step count inside a bracket that a scan at
-    _COARSE_STEPS found. The root shifts by O(M^-4) between step counts, so
-    the bracket holds unless the root lies that close to one of its ends."""
-    try:
-        return _root(f, lo, hi)
-    except ValueError:  # brentq found f(lo) and f(hi) of one sign
-        raise SolverError("shooting bracket lost between step counts") from None
+def _refine(f, a, lo, hi, M):
+    """Root of the residual f(x, M) near the root a that the search found at
+    min(_COARSE_STEPS, M) steps inside the bracket [lo, hi]. The root shifts
+    by O(M^-4) between step counts, so Brent starts on a bracket of relative
+    width 1e-9 around a, widened x1000 per step up to [lo, hi]; the root is
+    lost only if it left [lo, hi]. At M <= _COARSE_STEPS a is the root."""
+    if M <= _COARSE_STEPS:
+        return a
+    w = 5e-10 * a
+    while True:
+        bracket = (max(lo, a - w), min(hi, a + w))
+        try:
+            return _root(lambda x: f(x, M), *bracket)
+        except ValueError:  # brentq found no sign change at M
+            if bracket == (lo, hi):
+                raise SolverError("shooting bracket lost between step counts") from None
+            w *= 1000.0
 
 
 def shoot_once(params: RadialParams, R: float, a: float, M: int = DEFAULT_STEPS):
@@ -307,8 +327,7 @@ def shoot_once(params: RadialParams, R: float, a: float, M: int = DEFAULT_STEPS)
         raise ValueError("R must be positive")
     if M < 16:
         raise ValueError("M must be >= 16")
-    psiR, sR = _shoot_ball(p.n, p.q, p.c, float(R), int(M), float(a))
-    return psiR, sR
+    return _shoot_ball(p.n, p.q, p.c, float(R), int(M), float(a))
 
 
 def solve_ball(params: RadialParams, R: float, M: int = DEFAULT_STEPS) -> RadialProfile:
@@ -322,10 +341,10 @@ def solve_ball(params: RadialParams, R: float, M: int = DEFAULT_STEPS) -> Radial
 
     At q = 1, x = psi(R) solves x + c (1+eps) x^eps = R/(n beta) without a
     shot, and one pass at a = x + R^2/(2n) builds the profile. At q > 1 the
-    search runs at min(_COARSE_STEPS, M) steps; each root is then found at M
-    in a bracket of relative width 1e-9 around it, widened x1000 per step up
-    to the coarse bracket, and the mode is decided at M. The profile records
-    in `shots` how many integrator passes built it.
+    search runs at min(_COARSE_STEPS, M) steps, each root is then found at M
+    by _refine, and the mode is decided at M. A profile that fails
+    RadialProfile validation raises SolverError with the reason. The profile
+    records in `shots` how many integrator passes built it.
     """
     p = params
     R = float(R)
@@ -352,18 +371,21 @@ def solve_ball(params: RadialParams, R: float, M: int = DEFAULT_STEPS) -> Radial
         return shot_at[a, steps]
 
     def bc_residual(psiR, sR):
-        return sR + p.beta * (psiR + p.c * (1.0 + p.eps) * _pospow(psiR, p.eps))
+        return sR + _flux(psiR, p.beta, p.c, p.eps)
 
     def profile(a, mode):
         # one stored pass at M, which also gives the residual that admits a
-        # Robin-type root
+        # Robin-type root; a profile that fails validation is a solver failure
         nonlocal shots
         shots += 1
         psiR, sR, arrays = _shoot_ball(p.n, p.q, p.c, R, M, a, store=True)
         contact = mode == "obstacle_contact"
         res = psiR if contact else bc_residual(psiR, sR)
         if contact or (abs(res) <= BC_TOL and psiR >= -1e-12):
-            return RadialProfile(p, *arrays, float(res), mode, shots)
+            try:
+                return RadialProfile(p, *arrays, float(res), mode, shots)
+            except ValueError as ex:
+                raise SolverError(str(ex)) from ex
         if p.c > 0.0:
             raise SolverError("root search pinched at psi(R) -> 0; no admissible profile")
         raise SolverError("no boundary-residual root found for c = 0")
@@ -387,32 +409,15 @@ def solve_ball(params: RadialParams, R: float, M: int = DEFAULT_STEPS) -> Radial
     def dirichlet(a, steps=coarse):
         return shoot(a, steps)[0]
 
-    def fine_root(f, a, lo, hi):
-        # the root at M lies O(M^-4) from the coarse root a, so Brent starts
-        # on a bracket of relative width 1e-9 around a
-        if coarse == M:
-            return a
-        w = 5e-10 * a
-        while (bracket := (max(lo, a - w), min(hi, a + w))) != (lo, hi):
-            try:
-                return _root(lambda x: f(x, M), *bracket)
-            except ValueError:  # brentq found no sign change at M
-                w *= 1000.0
-        return _refine(lambda x: f(x, M), lo, hi)
-
     def meets_slope(a):
         return shoot(a)[1] + p.beta * p.c >= -BC_TOL
 
     def widen(f, hi):
-        f_hi = f(hi)
-        k = 0
-        while f_hi <= 0.0 and k < 60:
+        for _ in range(61):
+            if f(hi) > 0.0:
+                return hi
             hi *= 2.0
-            f_hi = f(hi)
-            k += 1
-        if f_hi <= 0.0:
-            raise SolverError("boundary residual bracket exhausted (never positive)")
-        return hi
+        raise SolverError("boundary residual bracket exhausted (never positive)")
 
     hi = 10.0 * (R / (p.n * p.beta) + R * R / (2.0 * p.n) + p.c)
     lo = 0.0
@@ -428,7 +433,7 @@ def solve_ball(params: RadialParams, R: float, M: int = DEFAULT_STEPS) -> Radial
         # the slope condition at M, on the coarse root and then on the root
         # at M: only a contact profile needs the latter
         if meets_slope(lo):
-            lo = fine_root(dirichlet, lo, 0.0, hi)
+            lo = _refine(dirichlet, lo, 0.0, hi, M)
             if meets_slope(lo):
                 return profile(lo, "obstacle_contact")
     elif p.c == 0.0:
@@ -443,7 +448,7 @@ def solve_ball(params: RadialParams, R: float, M: int = DEFAULT_STEPS) -> Radial
             hi, lo = lo, 0.1 * lo
             shrink += 1
     hi = widen(robin, hi)
-    return profile(fine_root(robin, _root(robin, lo, hi), lo, hi), robin_mode)
+    return profile(_refine(robin, _root(robin, lo, hi), lo, hi, M), robin_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -476,12 +481,7 @@ def ball_energy(profile: RadialProfile) -> BallEnergy:
     dirichlet = 0.5 * _simpson(profile.dpsi**2 * surf, h)
     bulk = -_simpson(theta_potential(profile.psi, p.q, p.c) * surf, h)
     psiR = profile.psi[-1]
-    boundary = (
-        0.5
-        * p.beta
-        * ball_surface(p.n, R)
-        * (psiR**2 + 2.0 * p.c * _pospow(psiR, 1.0 + p.eps))
-    )
+    boundary = 0.5 * p.beta * ball_surface(p.n, R) * _boundary_density(psiR, p.c, p.eps)
     E = dirichlet + boundary + bulk
     lam = None
     if p.c == 0.0 and p.q < 2.0 and p.eps == 0.0:
@@ -506,9 +506,10 @@ def eigenvalue_q2_ball(
     n: int, beta: float, R: float, M: int = DEFAULT_STEPS, return_profile: bool = False
 ):
     """Smallest Robin eigenvalue of the ball: psi'' + (n-1)/r psi' + lam psi = 0,
-    psi'(0) = 0, psi'(R) + beta psi(R) = 0. A scan at _COARSE_STEPS isolates
-    the first sign change of the boundary residual in lam, so the smallest
-    eigenvalue is returned; Brent's method refines it at M steps."""
+    psi'(0) = 0, psi'(R) + beta psi(R) = 0. A scan in lam at
+    min(_COARSE_STEPS, M) steps isolates the first sign change of the boundary
+    residual, so the smallest eigenvalue is returned; Brent's method finds the
+    root at the scan's step count, then at M in a tight bracket around it."""
     n = int(n)
     beta = float(beta)
     R = float(R)
@@ -522,28 +523,21 @@ def eigenvalue_q2_ball(
 
     def res_at(lam, steps):
         psi, s = shoot(lam, steps)
-        return s + beta * psi
+        return s + _flux(psi, beta, 0.0, 0.0)
 
     # residual(0) = beta > 0; march until the first sign change
+    coarse = min(_COARSE_STEPS, M)
     step = (math.pi / (2.0 * R)) ** 2 / 4.0
-    lo = 0.0
-    hi = None
-    k = 1
-    while k < 100000:
-        lam = k * step
-        if res_at(lam, _COARSE_STEPS) < 0.0:
-            hi = lam
+    for k in range(1, 100000):
+        if res_at(k * step, coarse) < 0.0:
             break
-        lo = lam
-        k += 1
-    if hi is None:
+    else:
         raise SolverError("no sign change found while scanning for the eigenvalue")
-
-    lam_root = _refine(lambda lam: res_at(lam, M), lo, hi)
+    lo, hi = (k - 1) * step, k * step
+    lam_root = _refine(res_at, _root(lambda lam: res_at(lam, coarse), lo, hi), lo, hi, M)
     if not return_profile:
         return lam_root
-    _, _, (grid, psi, dpsi) = shoot(lam_root, M, store=True)
-    return lam_root, (grid, psi, dpsi)
+    return lam_root, shoot(lam_root, M, store=True)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +585,9 @@ def annulus_exclusion(
     """Search for an annulus profile meeting both boundary laws and evaluate
     the volume-preserving stationarity residual
     H(r1) - H(r2) + (beta/2)(n-1) [ (psi1^2 + 2c psi1^(1+eps))/r1 + (outer) ].
+    A 48-point amplitude scan at min(_COARSE_STEPS, M) steps stops at the
+    first sign change of the outer residual; Brent's method finds the root
+    at the scan's step count, then at M in a tight bracket around it.
     Positive residual excludes a stationary annulus. When no admissible
     positive profile exists the exclusion holds vacuously (reported as pass
     with infinite margin)."""
@@ -601,7 +598,7 @@ def annulus_exclusion(
 
     def outer_residual(a, steps):
         psi2, s2 = _shoot_annulus(p.n, p.q, p.beta, p.c, p.eps, r1, r2, steps, a)
-        return s2 + p.beta * (psi2 + p.c * (1.0 + p.eps) * _pospow(psi2, p.eps))
+        return s2 + _flux(psi2, p.beta, p.c, p.eps)
 
     base_inputs = {
         "n": p.n,
@@ -626,33 +623,31 @@ def annulus_exclusion(
             },
         )
 
+    coarse = min(_COARSE_STEPS, M)
     hi = 10.0 * (r2 / (p.n * p.beta) + r2 * r2 / (2.0 * p.n) + p.c)
     grid_a = np.linspace(hi * 1e-6, hi, 48)
     # shoot the scan lazily: it ends at the first step from negative to
     # nonnegative
-    bracket = None
-    val = outer_residual(grid_a[0], _COARSE_STEPS)
+    val = outer_residual(grid_a[0], coarse)
     for a_lo, a_hi in zip(grid_a, grid_a[1:]):
-        prev, val = val, outer_residual(a_hi, _COARSE_STEPS)
+        prev, val = val, outer_residual(a_hi, coarse)
         if prev < 0.0 <= val:
-            bracket = (a_lo, a_hi)
             break
-    if bracket is None:
+    else:
         return vacuous("no sign change of the outer residual in the amplitude scan")
-    a_root = _refine(lambda a: outer_residual(a, M), *bracket)
+    a_coarse = _root(lambda a: outer_residual(a, coarse), a_lo, a_hi)
+    a_root = _refine(outer_residual, a_coarse, a_lo, a_hi, M)
     psi2, s2, (grid, psi, dpsi) = _shoot_annulus(
         p.n, p.q, p.beta, p.c, p.eps, r1, r2, M, a_root, store=True
     )
     if np.min(psi) <= 0.0:
         return vacuous("profile leaves the positive cone")
 
-    def boundary_term(v):
-        return v * v + 2.0 * p.c * _pospow(v, 1.0 + p.eps)
-
     psi1, s1 = psi[0], dpsi[0]
     H1 = 0.5 * s1 * s1 + _pospow(psi1 + p.c, p.q) / p.q
     H2 = 0.5 * s2 * s2 + _pospow(psi2 + p.c, p.q) / p.q
-    boundary = 0.5 * p.beta * (p.n - 1) * (boundary_term(psi1) / r1 + boundary_term(psi2) / r2)
+    b1, b2 = (_boundary_density(v, p.c, p.eps) for v in (psi1, psi2))
+    boundary = 0.5 * p.beta * (p.n - 1) * (b1 / r1 + b2 / r2)
     return make_report(
         name="annulus_exclusion",
         lhs=H1 - H2 + boundary,

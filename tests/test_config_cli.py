@@ -242,6 +242,29 @@ def test_cli_check_subcommand(tmp_path, capsys):
     assert csv.read_text(encoding="utf-8").count("\n") == 2
 
 
+def test_cli_check_fixed_tolerance(tmp_path, calls, capsys):
+    # --fixed-tolerance skips the half-resolution gauge: one mesh, and the
+    # tolerance is default_tol x max(lhs, rhs) for trace_poincare
+    csv = tmp_path / "rows.csv"
+    argv = ["check", "trace_poincare", "--family", "ellipse", "--grid", "1.2"]
+    argv += ["--n-r", "24", "--n-theta", "48", "--fixed-tolerance", "--csv", str(csv)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert calls["mesh_star"] == 1
+    header, line = csv.read_text(encoding="utf-8").splitlines()
+    row = dict(zip(header.split(","), line.split(",")))
+    expected = ineq.Resolution().default_tol * max(float(row["lhs"]), float(row["rhs"]))
+    assert float(row["tolerance"]) == pytest.approx(expected, rel=1e-11)
+
+
+def test_cli_ball_unverified_profile_is_a_solver_failure(capsys):
+    # the profile fails its ODE residual check: a solver failure, not a bad value
+    argv = ["ball", "--n", "3", "--q", "1.9199441324755204", "--beta", "0.40118109472273006"]
+    argv += ["--c", "4.280410742892416", "--R", "1.9164197066144089"]
+    assert cli.main(argv) == 3
+    assert "solver failure: ODE residual" in capsys.readouterr().err
+
+
 def test_cli_list_configs(capsys):
     assert cli.main(["list-configs"]) == 0
     out = capsys.readouterr().out

@@ -342,6 +342,36 @@ def test_ec_ball_check_solves_only_at_its_obstacle_level(calls):
     assert (calls["mesh_star"], calls["minimize_energy"]) == (2, 2)
 
 
+FIXED = ineq.Resolution(estimate_tolerance=False, default_tol=2e-3)
+
+
+def test_fixed_tolerance_intermediate_row(calls):
+    # without the gauge the tolerance is default_tol x max(1e-6, |E(ball)|),
+    # and no half-resolution bundle is built
+    row = ineq.sweep("ellipse", [1.25], "intermediate", q=1.5, beta=0.5, res=FIXED).rows[0]
+    assert calls["mesh_star"] == 1
+    p = RadialParams(n=2, q=1.5, beta=0.5)
+    R = geometry.equivalent_ball_radius(geometry.ellipse(1.25, K=512))
+    E_ball = radial.ball_energy(radial.solve_ball(p, R, M=FIXED.M)).E
+    assert row["tolerance"] == FIXED.default_tol * max(1e-6, abs(E_ball))
+
+
+def test_fixed_tolerance_trace_poincare_row(calls, monkeypatch):
+    # without the gauge the tolerance is default_tol x max(lhs, rhs), and
+    # neither a half mesh nor a half-resolution ball level is computed
+    solves = []
+    solve_ball = radial.solve_ball
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return solve_ball(*args, **kwargs)
+
+    monkeypatch.setattr(radial, "solve_ball", counted)
+    row = ineq.sweep("ellipse", [1.25], "trace_poincare", q=1.5, beta=0.5, res=FIXED).rows[0]
+    assert calls["mesh_star"] == 1 and len(solves) == 1
+    assert row["tolerance"] == FIXED.default_tol * max(row["lhs"], row["rhs"])
+
+
 @pytest.mark.parametrize("check", ineq.CHECKS)
 def test_sweep_row_equals_public_check(check):
     q, beta = 1.5, 0.5

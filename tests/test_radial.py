@@ -330,12 +330,14 @@ def test_shot_counts_stay_superlinear():
 def test_lost_bracket_raises_solver_error():
     # a scan bracket that no longer changes sign at the full step count
     with pytest.raises(SolverError, match="bracket lost between step counts"):
-        _refine(lambda x: 1.0 + x, 0.0, 1.0)
+        _refine(lambda x, steps: 1.0 + x, 0.5, 0.0, 1.0, radial.DEFAULT_STEPS)
 
 
 def test_annulus_scan_stops_at_the_first_sign_change(monkeypatch):
     # the 48-point coarse amplitude scan shoots only up to its first step
-    # from a negative to a nonnegative outer residual
+    # from a negative to a nonnegative outer residual; the coarse Brent root
+    # shoots at _COARSE_STEPS too, so scan shots are told apart by their
+    # membership in the amplitude grid (Brent re-shoots the bracket ends)
     p = RadialParams(n=2, q=1.5, beta=1.0)
     shoot = radial._shoot_annulus
     coarse = []
@@ -353,22 +355,61 @@ def test_annulus_scan_stops_at_the_first_sign_change(monkeypatch):
         psi2, s2 = shoot(p.n, p.q, p.beta, p.c, p.eps, 0.4, 1.2, radial._COARSE_STEPS, a)
         return s2 + p.beta * psi2
 
-    signs = [residual(a) >= 0.0 for a in coarse]
-    assert 2 <= len(coarse) < 48
-    assert signs == [False] * (len(coarse) - 1) + [True]
+    hi = 10.0 * (1.2 / (p.n * p.beta) + 1.2 * 1.2 / (2.0 * p.n) + p.c)
+    grid = set(np.linspace(hi * 1e-6, hi, 48))
+    scan = list(dict.fromkeys(a for a in coarse if a in grid))
+    signs = [residual(a) >= 0.0 for a in scan]
+    assert 2 <= len(scan) < 48
+    assert signs == [False] * (len(scan) - 1) + [True]
 
 
 def _passes(monkeypatch):
-    """Integrator passes of solve_ball, by step count."""
+    """Integrator passes of the radial solvers, by step count."""
     passes = {}
-    shoot = radial._shoot_ball
+    rk4 = radial._rk4
 
-    def counted(n, q, c, R, M, a, store=False):
+    def counted(n, source, r0, h, M, start, store=False):
         passes[M] = passes.get(M, 0) + 1
-        return shoot(n, q, c, R, M, a, store)
+        return rk4(n, source, r0, h, M, start, store)
 
-    monkeypatch.setattr(radial, "_shoot_ball", counted)
+    monkeypatch.setattr(radial, "_rk4", counted)
     return passes
+
+
+@pytest.mark.parametrize("n, beta, R", [(2, 1.0, 1.0), (3, 2.0, 1.5), (3, 0.7, 0.9)])
+def test_eigenvalue_shoots_at_full_resolution_only_near_the_root(monkeypatch, n, beta, R):
+    # the root is found at _COARSE_STEPS first; a scan bracket refined at M
+    # took 8-9 passes there
+    passes = _passes(monkeypatch)
+    eigenvalue_q2_ball(n, beta, R)
+    assert passes[radial.DEFAULT_STEPS] <= 7
+
+
+@pytest.mark.parametrize(
+    "n, q, beta, r1, r2",
+    [(2, 1.5, 1.0, 0.4, 1.2), (2, 1.9, 1.5, 0.5, 1.4), (3, 1.7, 0.6, 0.6, 1.6)],
+)
+def test_annulus_shoots_at_full_resolution_only_near_the_root(monkeypatch, n, q, beta, r1, r2):
+    # a scan bracket refined at M took 11-23 passes there
+    passes = _passes(monkeypatch)
+    rep = annulus_exclusion(RadialParams(n=n, q=q, beta=beta), r1, r2)
+    assert rep.inputs["admissible"] and rep.passed
+    assert passes[radial.DEFAULT_STEPS] <= 10
+
+
+def test_eigenvalue_and_annulus_below_the_coarse_step_count_shoot_only_at_m(monkeypatch):
+    passes = _passes(monkeypatch)
+    eigenvalue_q2_ball(2, 1.0, 1.0, M=256)
+    annulus_exclusion(RadialParams(n=2, q=1.5, beta=1.0), 0.4, 1.2, M=256)
+    assert set(passes) == {256}
+
+
+def test_unverified_profile_is_a_solver_failure():
+    # a contact profile with psi ~ 2665 fails the absolute ODE residual bound
+    # (a relative residual of 5.6e-11): no verified profile, so no result
+    p = RadialParams(n=3, q=1.9199441324755204, beta=0.40118109472273006, c=4.280410742892416)
+    with pytest.raises(SolverError, match="ODE residual .* exceeds 1e-08"):
+        solve_ball(p, 1.9164197066144089)
 
 
 @pytest.mark.parametrize("n", [2, 3])
