@@ -22,6 +22,7 @@ from . import inequalities as ineq
 from . import radial
 from .errors import ConfigError, SolverError
 from .radial import RadialParams
+from .reports import SweepResult
 
 STATUS_OK = 0
 STATUS_CONFIG = 2
@@ -31,6 +32,14 @@ STATUS_VIOLATION = 4
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
+
+
+def _tally(sw: SweepResult) -> str:
+    """'<passed>/<rows> passed', with the empirical constant when there is one."""
+    line = f"{sw.n_pass}/{len(sw.rows)} passed"
+    if sw.empirical_constant is not None:
+        line += f", empirical constant {_fmt(sw.empirical_constant)}"
+    return line
 
 
 def run_experiment(cfg: cfgmod.ExperimentConfig, out=sys.stdout) -> int:
@@ -55,19 +64,15 @@ def run_experiment(cfg: cfgmod.ExperimentConfig, out=sys.stdout) -> int:
     total_pass = total_fail = 0
     for check in cfg.checks:
         rows = rows_by_check.get(check, [])
-        n_pass = sum(1 for r in rows if r["passed"])
-        total_pass += n_pass
-        total_fail += len(rows) - n_pass
+        sw = SweepResult(cfg.family, rows, ineq._empirical_constant(rows))
+        total_pass += sw.n_pass
+        total_fail += sw.n_fail
         expected = cfg.cardinality(check)
         if len(rows) != expected:
             raise SolverError(
                 f"check {check}: produced {len(rows)} rows, config implies {expected}"
             )
-        line = f"check {check}: {n_pass}/{len(rows)} passed"
-        constant = ineq._empirical_constant(rows)
-        if constant is not None:
-            line += f", empirical constant {_fmt(constant)}"
-        summary.append(line)
+        summary.append(f"check {check}: " + _tally(sw))
     status = STATUS_OK if total_fail == 0 else STATUS_VIOLATION
     summary.append(f"total: {total_pass} passed, {total_fail} failed")
     summary.append("status " + ("ok" if status == STATUS_OK else "violation"))
@@ -134,12 +139,9 @@ def _cmd_check(args, out) -> int:
             f" deficit {_fmt(row['deficit'])} tol {_fmt(row['tolerance'])} {verdict}",
             file=out,
         )
-    line = f"{sw.n_pass}/{len(sw.rows)} passed"
-    if sw.empirical_constant is not None:
-        line += f", empirical constant {_fmt(sw.empirical_constant)}"
-    print(line, file=out)
+    print(_tally(sw), file=out)
     if args.csv:
-        ineq.sweep_to_csv(sw, args.csv)
+        ineq.rows_to_csv(sw.rows, args.csv)
     return STATUS_OK if sw.all_passed else STATUS_VIOLATION
 
 

@@ -19,7 +19,7 @@ identically; the report's breakdown lists the v-form terms so they sum to E.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -136,7 +136,6 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class EnergyReport:
-    E: float
     dirichlet: float
     boundary: float
     bulk: float
@@ -150,11 +149,12 @@ class EnergyReport:
     factorizations: int = 0
 
     def __post_init__(self):
-        total = self.dirichlet + self.boundary + self.bulk
-        if abs(self.E - total) > 1e-12 * max(1.0, abs(self.E)):
-            raise ValueError("E must equal the sum of its breakdown")
         if self.inf_u > self.sup_u:
             raise ValueError("inf_u must not exceed sup_u")
+
+    @property
+    def E(self) -> float:
+        return self.dirichlet + self.boundary + self.bulk
 
 
 def mesh_star(d: StarDomain, n_r: int, n_theta: int) -> Mesh:
@@ -420,12 +420,7 @@ def minimize_energy(
     if p.c == 0.0 and np.min(u) <= 0.0:
         raise SolverError("minimizer has a nonpositive nodal value at c = 0")
     dirichlet, boundary, bulk = _energy_terms(K, B, w, p, u)
-    E = dirichlet + boundary + bulk
-    lam = None
-    if p.c == 0.0 and p.q < 2.0 and E < 0.0:
-        lam = lambda_from_energy(E, p.q)
     report = EnergyReport(
-        E=E,
         dirichlet=dirichlet,
         boundary=boundary,
         bulk=bulk,
@@ -433,9 +428,10 @@ def minimize_energy(
         sup_u=float(np.max(u)),
         iterations=iterations,
         converged=converged,
-        lambda_q=lam,
         factorizations=built + obstacle.factorizations,
     )
+    if p.c == 0.0 and p.q < 2.0 and report.E < 0.0:
+        report = replace(report, lambda_q=lambda_from_energy(report.E, p.q))
     return ScalarField(mesh, u), report
 
 

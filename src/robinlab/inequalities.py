@@ -455,20 +455,7 @@ def sweep(
     """
     grouped = _experiment_rows(family, grid, (check,), (q,), (beta,), (c_factor,), res, k, domain_K)
     rows = grouped[check]
-    n_pass = sum(1 for r in rows if r["passed"])
-    notes = {}
-    if family == "ellipse" and check == "quantitative" and len(rows) >= 2:
-        notes["monotone_family_heuristic"] = all(
-            a["lhs"] < b["lhs"] and a["asymmetry"] < b["asymmetry"] for a, b in zip(rows, rows[1:])
-        )
-    return SweepResult(
-        family=family,
-        rows=rows,
-        n_pass=n_pass,
-        n_fail=len(rows) - n_pass,
-        empirical_constant=_empirical_constant(rows),
-        notes=notes,
-    )
+    return SweepResult(family=family, rows=rows, empirical_constant=_empirical_constant(rows))
 
 
 SWEEP_COLUMNS = (
@@ -508,7 +495,3 @@ def rows_to_csv(rows, path) -> None:
         fh.write(",".join(SWEEP_COLUMNS) + "\n")
         for row in rows:
             fh.write(",".join(_format_cell(row[c]) for c in SWEEP_COLUMNS) + "\n")
-
-
-def sweep_to_csv(result: SweepResult, path) -> None:
-    rows_to_csv(result.rows, path)

@@ -31,8 +31,9 @@ strictly positive by the monotonicity of H: no annulus is stationary.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -191,18 +192,18 @@ class RadialProfile:
 
 @dataclass(frozen=True)
 class BallEnergy:
-    E: float
     dirichlet: float
     boundary: float
     bulk: float
     lambda_q: float | None = None
 
     def __post_init__(self):
-        total = self.dirichlet + self.boundary + self.bulk
-        if abs(self.E - total) > 1e-12 * max(1.0, abs(self.E)):
-            raise ValueError("E must equal the sum of its breakdown")
         if not self.E < 0.0:
             raise ValueError("minimizer energy must be negative")
+
+    @property
+    def E(self) -> float:
+        return self.dirichlet + self.boundary + self.bulk
 
 
 # ---------------------------------------------------------------------------
@@ -357,18 +358,15 @@ def solve_ball(params: RadialParams, R: float, M: int = DEFAULT_STEPS) -> Radial
             "q = 2 has no nontrivial energy minimizer on the ball; "
             "use eigenvalue_q2_ball for the linear problem"
         )
-    shots = 0
     coarse = min(_COARSE_STEPS, M)
-    # (psi(R), psi'(R)) by (center value, steps): brentq re-evaluates its
-    # bracket ends, and the Robin search starts on shots of the Dirichlet search
-    shot_at = {}
 
-    def shoot(a, steps=M):
-        nonlocal shots
-        if (a, steps) not in shot_at:
-            shots += 1
-            shot_at[a, steps] = _shoot_ball(p.n, p.q, p.c, R, steps, a)
-        return shot_at[a, steps]
+    # (psi(R), psi'(R)) by (center value, steps), each shot once: brentq
+    # re-evaluates its bracket ends, and the Robin search starts on shots of
+    # the Dirichlet search; every call passes steps positionally, so one shot
+    # has one cache key
+    @functools.cache
+    def shoot(a, steps):
+        return _shoot_ball(p.n, p.q, p.c, R, steps, a)
 
     def bc_residual(psiR, sR):
         return sR + _flux(psiR, p.beta, p.c, p.eps)
@@ -376,9 +374,8 @@ def solve_ball(params: RadialParams, R: float, M: int = DEFAULT_STEPS) -> Radial
     def profile(a, mode):
         # one stored pass at M, which also gives the residual that admits a
         # Robin-type root; a profile that fails validation is a solver failure
-        nonlocal shots
-        shots += 1
         psiR, sR, arrays = _shoot_ball(p.n, p.q, p.c, R, M, a, store=True)
+        shots = shoot.cache_info().currsize + 1
         contact = mode == "obstacle_contact"
         res = psiR if contact else bc_residual(psiR, sR)
         if contact or (abs(res) <= BC_TOL and psiR >= -1e-12):
@@ -410,7 +407,7 @@ def solve_ball(params: RadialParams, R: float, M: int = DEFAULT_STEPS) -> Radial
         return shoot(a, steps)[0]
 
     def meets_slope(a):
-        return shoot(a)[1] + p.beta * p.c >= -BC_TOL
+        return shoot(a, M)[1] + p.beta * p.c >= -BC_TOL
 
     def widen(f, hi):
         for _ in range(61):
@@ -482,11 +479,10 @@ def ball_energy(profile: RadialProfile) -> BallEnergy:
     bulk = -_simpson(theta_potential(profile.psi, p.q, p.c) * surf, h)
     psiR = profile.psi[-1]
     boundary = 0.5 * p.beta * ball_surface(p.n, R) * _boundary_density(psiR, p.c, p.eps)
-    E = dirichlet + boundary + bulk
-    lam = None
+    energy = BallEnergy(dirichlet, boundary, bulk)
     if p.c == 0.0 and p.q < 2.0 and p.eps == 0.0:
-        lam = lambda_from_energy(E, p.q)
-    return BallEnergy(E=E, dirichlet=dirichlet, boundary=boundary, bulk=bulk, lambda_q=lam)
+        energy = replace(energy, lambda_q=lambda_from_energy(energy.E, p.q))
+    return energy
 
 
 def lambda_from_energy(E: float, q: float) -> float:
@@ -521,6 +517,7 @@ def eigenvalue_q2_ball(
         start = [(1.0, 0.0), (1.0 - lam * h * h / (2.0 * n), -lam * h / n)]
         return _rk4(n, lambda y: lam * y, 0.0, h, steps, start, store)
 
+    @functools.cache  # brentq re-shoots the scan's bracket ends
     def res_at(lam, steps):
         psi, s = shoot(lam, steps)
         return s + _flux(psi, beta, 0.0, 0.0)
@@ -596,6 +593,7 @@ def annulus_exclusion(
     if not 0.0 < r1 < r2:
         raise ValueError("need 0 < r1 < r2")
 
+    @functools.cache  # brentq re-shoots the scan's bracket ends
     def outer_residual(a, steps):
         psi2, s2 = _shoot_annulus(p.n, p.q, p.beta, p.c, p.eps, r1, r2, steps, a)
         return s2 + _flux(psi2, p.beta, p.c, p.eps)

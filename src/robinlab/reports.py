@@ -1,10 +1,12 @@
 """Report records shared by the radial and inequality modules.
 
-Convention: `lhs` is always the side asserted greater-or-equal, `deficit` is
-lhs - rhs, and a report passes iff deficit >= -tolerance. Checks of strict
+Convention: `lhs` is always the side asserted greater-or-equal, and the
+records store only these independent values. `deficit` (lhs - rhs) and
+`passed` (deficit >= -tolerance) are derived properties of a report, as are
+a sweep's `n_pass` / `n_fail` (counted from its rows). Checks of strict
 positivity fold their required margin into `rhs`; composite checks (several
-conditions in one report) store their worst margin as the deficit. The
-`term_provenance` map documents which formula term landed on which side.
+conditions in one report) put their worst margin in `lhs` against rhs = 0.
+The `term_provenance` map documents which formula term landed on which side.
 """
 
 from __future__ import annotations
@@ -17,51 +19,30 @@ class InequalityReport:
     name: str
     lhs: float
     rhs: float
-    deficit: float
     tolerance: float
-    passed: bool
     inputs: dict = field(default_factory=dict)
     term_provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.tolerance > 0.0:
             raise ValueError("tolerance must be positive")
-        if abs(self.deficit - (self.lhs - self.rhs)) > 1e-12 * max(
-            1.0, abs(self.lhs), abs(self.rhs)
-        ):
-            raise ValueError("deficit must equal lhs - rhs")
-        if self.passed != (self.deficit >= -self.tolerance):
-            raise ValueError("passed must equal (deficit >= -tolerance)")
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "deficit": self.deficit,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "inputs": dict(self.inputs),
-            "term_provenance": dict(self.term_provenance),
-        }
+    @property
+    def deficit(self) -> float:
+        return self.lhs - self.rhs
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "InequalityReport":
-        return cls(**d)
+    @property
+    def passed(self) -> bool:
+        return bool(self.deficit >= -self.tolerance)
 
 
 def make_report(name, lhs, rhs, tolerance, inputs=None, term_provenance=None):
-    """Build a report; pass/fail and deficit follow from the convention."""
-    lhs = float(lhs)
-    rhs = float(rhs)
-    deficit = lhs - rhs
+    """Build a report with float sides and tolerance and its own dict copies."""
     return InequalityReport(
         name=name,
-        lhs=lhs,
-        rhs=rhs,
-        deficit=deficit,
+        lhs=float(lhs),
+        rhs=float(rhs),
         tolerance=float(tolerance),
-        passed=bool(deficit >= -tolerance),
         inputs=dict(inputs or {}),
         term_provenance=dict(term_provenance or {}),
     )
@@ -78,10 +59,15 @@ class SweepResult:
 
     family: str
     rows: list
-    n_pass: int
-    n_fail: int
     empirical_constant: float | None = None
-    notes: dict = field(default_factory=dict)
+
+    @property
+    def n_pass(self) -> int:
+        return sum(1 for r in self.rows if r["passed"])
+
+    @property
+    def n_fail(self) -> int:
+        return len(self.rows) - self.n_pass
 
     @property
     def all_passed(self) -> bool:

@@ -260,11 +260,15 @@ def test_minimize_energy_validation(disk_mesh):
 
 
 def test_report_and_field_validation(disk_mesh):
-    with pytest.raises(ValueError):
-        EnergyReport(E=-1.0, dirichlet=1.0, boundary=1.0, bulk=-2.0,
+    # E is the sum of its breakdown, not a stored copy of it
+    rep = EnergyReport(dirichlet=1.0, boundary=0.5, bulk=-2.0,
+                       inf_u=0.1, sup_u=0.2, iterations=1, converged=True)
+    assert rep.E == -0.5
+    with pytest.raises(TypeError):
+        EnergyReport(E=-0.5, dirichlet=1.0, boundary=0.5, bulk=-2.0,
                      inf_u=0.1, sup_u=0.2, iterations=1, converged=True)
     with pytest.raises(ValueError):
-        EnergyReport(E=0.0, dirichlet=1.0, boundary=1.0, bulk=-2.0,
+        EnergyReport(dirichlet=1.0, boundary=1.0, bulk=-2.0,
                      inf_u=0.3, sup_u=0.2, iterations=1, converged=True)
     with pytest.raises(ValueError):
         ScalarField(disk_mesh, np.ones(3))

@@ -77,10 +77,10 @@ def test_ball_q1_closed_form_n3():
 def test_energy_breakdown_sums():
     p = RadialParams(n=2, q=1.5, beta=0.5)
     e = ball_energy(solve_ball(p, 1.0))
-    assert abs(e.E - (e.dirichlet + e.boundary + e.bulk)) <= 1e-12 * abs(e.E)
+    assert e.E == e.dirichlet + e.boundary + e.bulk
     assert e.dirichlet > 0 and e.boundary > 0 and e.bulk < 0
-    with pytest.raises(ValueError):
-        BallEnergy(E=-1.0, dirichlet=1.0, boundary=1.0, bulk=-2.0)
+    with pytest.raises(ValueError):  # E = 0 is no minimizer energy
+        BallEnergy(dirichlet=1.0, boundary=1.0, bulk=-2.0)
 
 
 def test_lambda_matches_rayleigh_quotient():
@@ -337,7 +337,7 @@ def test_annulus_scan_stops_at_the_first_sign_change(monkeypatch):
     # the 48-point coarse amplitude scan shoots only up to its first step
     # from a negative to a nonnegative outer residual; the coarse Brent root
     # shoots at _COARSE_STEPS too, so scan shots are told apart by their
-    # membership in the amplitude grid (Brent re-shoots the bracket ends)
+    # membership in the amplitude grid
     p = RadialParams(n=2, q=1.5, beta=1.0)
     shoot = radial._shoot_annulus
     coarse = []
@@ -357,7 +357,7 @@ def test_annulus_scan_stops_at_the_first_sign_change(monkeypatch):
 
     hi = 10.0 * (1.2 / (p.n * p.beta) + 1.2 * 1.2 / (2.0 * p.n) + p.c)
     grid = set(np.linspace(hi * 1e-6, hi, 48))
-    scan = list(dict.fromkeys(a for a in coarse if a in grid))
+    scan = [a for a in coarse if a in grid]
     signs = [residual(a) >= 0.0 for a in scan]
     assert 2 <= len(scan) < 48
     assert signs == [False] * (len(scan) - 1) + [True]
@@ -374,6 +374,33 @@ def _passes(monkeypatch):
 
     monkeypatch.setattr(radial, "_rk4", counted)
     return passes
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda: eigenvalue_q2_ball(2, 1.0, 1.0),
+        lambda: annulus_exclusion(RadialParams(n=2, q=1.5, beta=1.0), 0.4, 1.2),
+        lambda: solve_ball(RadialParams(n=2, q=1.5, beta=1.0), 1.0),
+        lambda: solve_ball(RadialParams(n=3, q=1.5, beta=0.7, c=0.1), 1.2),
+        lambda: solve_ball(RadialParams(n=2, q=1.3, beta=1.2, c=2.0), 1.1),
+    ],
+    ids=["eigenvalue", "annulus", "robin", "modified_robin", "obstacle_contact"],
+)
+def test_no_integrator_pass_runs_twice_in_one_solve(monkeypatch, solve):
+    # brentq evaluates its bracket ends, which the scan or the search has
+    # already shot: each solver shoots one (start, r0, h, M, store) once
+    seen = []
+    rk4 = radial._rk4
+
+    def recorded(n, source, r0, h, M, start, store=False):
+        seen.append((tuple(start), r0, h, M, store))
+        return rk4(n, source, r0, h, M, start, store)
+
+    monkeypatch.setattr(radial, "_rk4", recorded)
+    solve()
+    assert len(seen) > 1
+    assert len(set(seen)) == len(seen)
 
 
 @pytest.mark.parametrize("n, beta, R", [(2, 1.0, 1.0), (3, 2.0, 1.5), (3, 0.7, 0.9)])
