@@ -4,10 +4,11 @@ Discretizes the energy
     E(u) = 1/2 u'Ku + (beta/2) u'Bu - (1/q) sum_i w_i u_i^q
 with K the P1 stiffness form, B the boundary mass assembled edgewise with
 exact linear-trace quadrature, and w the lumped bulk weights (row sums of the
-consistent mass). Minimization over {u >= c} runs a damped sublinear fixed
-point: the linearized Robin system is solved subject to the obstacle (exact
-primal-dual active-set step), then relaxed with factor omega. A projected
-gradient step with backtracking takes over whenever the energy would rise.
+consistent mass). Minimization over {u >= c} is a majorize-minimize loop:
+for q in [1, 2) the bulk term is concave, so its linearization at the
+current u gives a convex quadratic majorant of E, and each step minimizes
+that majorant exactly under the obstacle (primal-dual active-set solve). The
+energy therefore cannot rise; a rise beyond rounding raises SolverError.
 
 With the obstacle level c > 0 the reported energy is the shifted functional
     E_c(u) = E(u) - (beta/2) c^2 Per + (c^q/q) |domain|
@@ -31,7 +32,6 @@ from .radial import RadialParams, lambda_from_energy, theta_potential
 
 MAX_OUTER = 500
 MAX_ACTIVE_SET = 60
-OMEGA_DEFAULT = 0.7
 LAMBDA2_TOL = 1e-10
 LAMBDA2_MAX_ITER = 5000
 
@@ -353,17 +353,18 @@ def _energy_terms(K, B, w, params, u):
     return dirichlet, boundary, bulk
 
 
-def minimize_energy(
-    mesh: Mesh, params: RadialParams, omega: float = OMEGA_DEFAULT
-) -> tuple[ScalarField, EnergyReport]:
+def minimize_energy(mesh: Mesh, params: RadialParams) -> tuple[ScalarField, EnergyReport]:
     """Minimize the discrete shifted energy over nodal fields u >= c.
 
-    Damped sublinear fixed point: solve the linearized Robin system under the
-    obstacle, relax with factor omega, and fall back to projected gradient
-    with backtracking on an energy increase beyond 1e-12 relative (smaller
-    rises are rounding). Stops when the relative energy decrease drops below
-    1e-12 and the max nodal update below 1e-10. The LU of K + beta B is the
-    one the mesh holds for this beta, built here if it holds none.
+    Majorize-minimize: each step solves the Robin system linearized at u,
+    A u_next = w u^(q-1), under the obstacle. That minimizes a convex
+    majorant of the energy which touches it at u, so the step cannot raise
+    the energy; a rise beyond 1e-12 relative (smaller rises are rounding)
+    raises SolverError. At q = 1 the right-hand side is w and one step is
+    exact. Stops when the relative energy decrease drops below 1e-12 and the
+    max nodal update below 1e-10, or reports converged=False after MAX_OUTER
+    steps. The LU of K + beta B is the one the mesh holds for this beta,
+    built here if it holds none.
     """
     p = params
     if p.eps != 0.0:
@@ -372,8 +373,6 @@ def minimize_energy(
         raise ValueError("meshes are planar; params.n must be 2")
     if not p.q < 2.0:
         raise ValueError("q must lie in [1, 2); use lambda_2 for the linear problem")
-    if not 0.0 < omega <= 1.0:
-        raise ValueError("omega must lie in (0, 1]")
     K, B, w, A, lu, built = _robin_operator(mesh, p.beta)
     scale = max(1.0, float(np.max(np.abs(w))) / max(p.beta, 1e-12))
     obstacle = _ObstacleSolver(A, lu, p.c, scale)
@@ -385,31 +384,15 @@ def minimize_energy(
     E = energy(u)
     converged = False
     iterations = 0
-    cached_target = None
     for k in range(1, MAX_OUTER + 1):
         iterations = k
-        if p.q == 1.0:
-            if cached_target is None:
-                cached_target = obstacle.solve(w)
-            target = cached_target
-        else:
-            r = w * u ** (p.q - 1.0)
-            target = obstacle.solve(r)
-        u_next = (1.0 - omega) * u + omega * target
+        u_next = obstacle.solve(w * u ** (p.q - 1.0))
         E_next = energy(u_next)
         if E_next > E + 1e-12 * max(1.0, abs(E)):
-            # projected gradient with backtracking
-            g = A @ u - w * u ** (p.q - 1.0)
-            step = 1.0
-            while step > 1e-16:
-                cand = np.maximum(u - step * g, p.c)
-                E_cand = energy(cand)
-                if E_cand <= E - 1e-4 * step * float(g @ g):
-                    u_next, E_next = cand, E_cand
-                    break
-                step *= 0.5
-            else:
-                u_next, E_next = u, E
+            raise SolverError(
+                f"energy rose at outer iteration {k}: relative rise "
+                f"{(E_next - E) / max(1.0, abs(E)):.3e}"
+            )
         dE = E - E_next
         du = float(np.max(np.abs(u_next - u)))
         u, E = u_next, E_next

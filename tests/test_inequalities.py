@@ -101,7 +101,7 @@ def test_ec_ball_labels_contact_ball():
 
 
 def test_unconverged_minimizer_raises(monkeypatch):
-    # at q = 1.5 one damped outer iteration cannot meet the stopping test
+    # at q = 1.5 one outer iteration cannot meet the stopping test
     monkeypatch.setattr(fem, "MAX_OUTER", 1)
     d = geometry.ellipse(1.2)
     with pytest.raises(SolverError, match="iteration cap"):
