@@ -7,8 +7,11 @@ exact linear-trace quadrature, and w the lumped bulk weights (row sums of the
 consistent mass). Minimization over {u >= c} is a majorize-minimize loop:
 for q in [1, 2) the bulk term is concave, so its linearization at the
 current u gives a convex quadratic majorant of E, and each step minimizes
-that majorant exactly under the obstacle (primal-dual active-set solve). The
-energy therefore cannot rise; a rise beyond rounding raises SolverError.
+that majorant exactly under the obstacle (primal-dual active-set solve). At
+c = 0 and q > 1 each step then moves to the least energy along its ray t u,
+in closed form, which is the normalized nonlinear inverse iteration
+(Biezuner, Ercole & Martins 2009; Hynd & Lindgren 2016). Neither move can
+raise the energy; a rise beyond rounding raises SolverError.
 
 With the obstacle level c > 0 the reported energy is the shifted functional
     E_c(u) = E(u) - (beta/2) c^2 Per + (c^q/q) |domain|
@@ -19,6 +22,7 @@ identically; the report's breakdown lists the v-form terms so they sum to E.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -34,6 +38,9 @@ MAX_OUTER = 500
 MAX_ACTIVE_SET = 60
 LAMBDA2_TOL = 1e-10
 LAMBDA2_MAX_ITER = 5000
+# relative rounding band of the multipliers A u - r within which an
+# active-set node keeps its status (see _ObstacleSolver.solve)
+ACTIVE_SET_TIE = 16.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -291,7 +298,9 @@ class _ObstacleSolver:
     active set, with that set's coupling A[free, active] @ 1. A solve starts
     from the previous solve's active set and factorises only when the mask
     changes; it starts cold (unconstrained pass, then u < c) when that set
-    was empty. factorizations counts the free-node factorisations."""
+    was empty. A node whose multiplier and slack tie within the rounding of
+    A u - r keeps its status, so rim nodes tied at the minimum cannot flip
+    on every pass. factorizations counts the free-node factorisations."""
 
     def __init__(self, A, lu_full, c, scale):
         self.A = A
@@ -300,6 +309,12 @@ class _ObstacleSolver:
         self.lu_full = lu_full
         self.factorizations = 0
         self.held = None  # (active, free indices, coupling, free-block LU)
+
+    @functools.cached_property
+    def abs_A(self):
+        """|A| entrywise, which bounds the rounding of A u; built only once
+        the obstacle binds."""
+        return abs(self.A)
 
     def _solve_pinned(self, active, r):
         """Solve with the active nodes pinned at c, refactoring the free-node
@@ -331,7 +346,8 @@ class _ObstacleSolver:
             else:
                 u = self._solve_pinned(active, r)
             mu = self.A @ u - r
-            new_active = mu > (u - c)
+            tie = np.abs(mu - (u - c)) <= ACTIVE_SET_TIE * (self.abs_A @ np.abs(u) + np.abs(r))
+            new_active = np.where(tie, active, mu > (u - c))
             if np.array_equal(new_active, active):
                 break
             active = new_active
@@ -359,12 +375,20 @@ def minimize_energy(mesh: Mesh, params: RadialParams) -> tuple[ScalarField, Ener
     Majorize-minimize: each step solves the Robin system linearized at u,
     A u_next = w u^(q-1), under the obstacle. That minimizes a convex
     majorant of the energy which touches it at u, so the step cannot raise
-    the energy; a rise beyond 1e-12 relative (smaller rises are rounding)
-    raises SolverError. At q = 1 the right-hand side is w and one step is
-    exact. Stops when the relative energy decrease drops below 1e-12 and the
-    max nodal update below 1e-10, or reports converged=False after MAX_OUTER
-    steps. The LU of K + beta B is the one the mesh holds for this beta,
-    built here if it holds none.
+    the energy. At c = 0 and 1 < q < 2 the energy along the ray t u_next,
+    t^2 (dirichlet + boundary) + t^q bulk, is least at
+    t^(2-q) = sum w u_next^q / u_next'A u_next, and u_next is rescaled to it:
+    that removes the fixed-point map's slow scaling mode (rate q - 1). At
+    q = 1 the right-hand side is w and one step is exact; obstacle levels
+    c > 0 take the plain step.
+
+    The energy's terms cancel (at a c = 0 minimizer their absolute sum is
+    (q + 2)/(2 - q) times |E|), so the rise and stopping tests compare with
+    S = max(1, |dirichlet| + |boundary| + |bulk|): a rise beyond 1e-12 S
+    raises SolverError, and the loop stops when the energy decrease is below
+    1e-12 S and the max nodal update below 1e-10 max(1, sup u), or reports
+    converged=False after MAX_OUTER steps. The LU of K + beta B is the one
+    the mesh holds for this beta, built here if it holds none.
     """
     p = params
     if p.eps != 0.0:
@@ -377,26 +401,30 @@ def minimize_energy(mesh: Mesh, params: RadialParams) -> tuple[ScalarField, Ener
     scale = max(1.0, float(np.max(np.abs(w))) / max(p.beta, 1e-12))
     obstacle = _ObstacleSolver(A, lu, p.c, scale)
 
-    def energy(u):
-        return sum(_energy_terms(K, B, w, p, u))
-
+    rescale = p.c == 0.0 and p.q > 1.0  # to the least energy along the ray
     u = np.maximum(lu.solve(w), p.c)
-    E = energy(u)
+    E = sum(_energy_terms(K, B, w, p, u))
     converged = False
     iterations = 0
     for k in range(1, MAX_OUTER + 1):
         iterations = k
         u_next = obstacle.solve(w * u ** (p.q - 1.0))
-        E_next = energy(u_next)
-        if E_next > E + 1e-12 * max(1.0, abs(E)):
+        dirichlet, boundary, bulk = _energy_terms(K, B, w, p, u_next)
+        if rescale:
+            t = (-p.q * bulk / (2.0 * (dirichlet + boundary))) ** (1.0 / (2.0 - p.q))
+            u_next *= t
+            dirichlet, boundary, bulk = t * t * dirichlet, t * t * boundary, t**p.q * bulk
+        E_next = dirichlet + boundary + bulk
+        # the rounding floor of a sum of terms that cancel
+        size = max(1.0, abs(dirichlet) + abs(boundary) + abs(bulk))
+        if E_next > E + 1e-12 * size:
             raise SolverError(
-                f"energy rose at outer iteration {k}: relative rise "
-                f"{(E_next - E) / max(1.0, abs(E)):.3e}"
+                f"energy rose at outer iteration {k}: relative rise {(E_next - E) / size:.3e}"
             )
         dE = E - E_next
         du = float(np.max(np.abs(u_next - u)))
         u, E = u_next, E_next
-        if dE < 1e-12 * max(1.0, abs(E)) and du < 1e-10:
+        if dE < 1e-12 * size and du < 1e-10 * max(1.0, float(np.max(u))):
             converged = True
             break
 

@@ -3,7 +3,9 @@
 A domain is a polygon with K vertices center + r_j * (cos theta_j, sin theta_j)
 on the equally spaced angles theta_j = 2 pi j / K. Area and perimeter are the
 exact polygon values; the Fraenkel asymmetry min_z |Omega symdiff B(z)| / |Omega|
-is minimized over centers of the area-equivalent disk.
+is minimized over centers of the area-equivalent disk, searched only within
+the radius the triangle inequality leaves for a center that beats the
+domain center.
 """
 
 from __future__ import annotations
@@ -13,12 +15,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 
 logger = logging.getLogger(__name__)
 
 MIN_VERTICES = 16
-CENTER_GRID = 21  # asymmetry center search: coarse points per axis
+CENTER_GRID = 7  # asymmetry center search: coarse points per axis (odd: w = 0 is one)
 CENTER_TOL = 1e-6  # and the Nelder-Mead refinement's tolerance
 
 
@@ -188,11 +190,34 @@ def _overlap_area(rho_bdy: np.ndarray, dtheta: float, cos_t, sin_t, w, R: float)
     return 0.5 * float(np.sum(seg)) * dtheta
 
 
+def _search_radius(frac0: float, R: float) -> float:
+    """Largest |w| at which a disk B(center + w, R) can still beat B(center, R).
+
+    Any center w with |Omega symdiff B(w)| <= |Omega symdiff B(0)| has
+    |B(0) symdiff B(w)| <= 2 |Omega symdiff B(0)| by the triangle inequality.
+    For equal disks |B(0) symdiff B(w)| / |B| = 2 - 2 lens(s) with s = |w| / 2R
+    and lens(s) = (2/pi)(acos s - s sqrt(1 - s^2)), the overlap's share of |B|,
+    which decreases from 1 to 0 on [0, 1]. frac0 is |Omega symdiff B(0)| / |B|.
+    """
+    if frac0 <= 0.0:  # nothing beats an empty symmetric difference
+        return 0.0
+    if frac0 >= 1.0:
+        return 2.0 * R
+
+    def excess(s):
+        return 2.0 / math.pi * (math.acos(s) - s * math.sqrt(1.0 - s * s)) - (1.0 - frac0)
+
+    return 2.0 * R * brentq(excess, 0.0, 1.0, xtol=1e-15)
+
+
 def fraenkel_asymmetry(d: StarDomain, n_angles: int = 4096) -> tuple[float, Ball]:
     """min over equal-area disk centers of |Omega symdiff B| / |Omega|.
 
-    Coarse grid of CENTER_GRID^2 centers over the vertex bounding box, then
-    Nelder-Mead refinement of the best cell to CENTER_TOL. Ties between
+    Only centers within d_max = _search_radius of the domain center can beat
+    the disk at the center itself, so the coarse grid of CENTER_GRID^2
+    centers covers [-D, D]^2 about it, D = 1.05 d_max + 1e-3 R (the margin
+    absorbs the angular quadrature error). Nelder-Mead then refines the best
+    cell to CENTER_TOL from a simplex of half a grid step. Ties between
     coarse cells within 1e-6 are logged; the first minimizer wins.
     """
     A = area(d)
@@ -206,14 +231,14 @@ def fraenkel_asymmetry(d: StarDomain, n_angles: int = 4096) -> tuple[float, Ball
         inter = _overlap_area(rho_bdy, dtheta, cos_t, sin_t, w, R)
         return 2.0 * (A - inter) / A
 
-    v = d.vertices() - d.center
-    lo, hi = v.min(axis=0), v.max(axis=0)
-    xs = np.linspace(lo[0], hi[0], CENTER_GRID)
-    ys = np.linspace(lo[1], hi[1], CENTER_GRID)
+    mid = CENTER_GRID // 2  # the grid's middle point is w = 0
+    frac0 = sym_diff_frac((0.0, 0.0))
+    D = 1.05 * _search_radius(frac0, R) + 1e-3 * R
+    xs = np.linspace(-D, D, CENTER_GRID)
     vals = np.empty((CENTER_GRID, CENTER_GRID))
     for i, x in enumerate(xs):
-        for jj, y in enumerate(ys):
-            vals[i, jj] = sym_diff_frac((x, y))
+        for jj, y in enumerate(xs):
+            vals[i, jj] = frac0 if i == jj == mid else sym_diff_frac((x, y))
     best = np.unravel_index(np.argmin(vals), vals.shape)
     best_val = vals[best]
     if np.sum(vals <= best_val + 1e-6) > 1:
@@ -221,14 +246,21 @@ def fraenkel_asymmetry(d: StarDomain, n_angles: int = 4096) -> tuple[float, Ball
             "asymmetry center search: coarse grid ties within 1e-6, keeping the first minimizer"
         )
 
+    x0 = np.array([xs[best[0]], xs[best[1]]])
+    half_step = D / (CENTER_GRID - 1)
     res = minimize(
         sym_diff_frac,
-        x0=np.array([xs[best[0]], ys[best[1]]]),
+        x0=x0,
         method="Nelder-Mead",
-        options={"xatol": CENTER_TOL, "fatol": CENTER_TOL * 1e-2, "maxiter": 500},
+        options={
+            "xatol": CENTER_TOL,
+            "fatol": CENTER_TOL * 1e-2,
+            "maxiter": 500,
+            "initial_simplex": x0 + np.array([[0.0, 0.0], [half_step, 0.0], [0.0, half_step]]),
+        },
     )
     if not res.success and res.fun > best_val:
         logger.warning("asymmetry center refinement did not converge: %s", res.message)
-    w = res.x if res.fun <= best_val else np.array([xs[best[0]], ys[best[1]]])
+    w = res.x if res.fun <= best_val else x0
     val = float(min(res.fun, best_val))
     return val, Ball(d.center + w, R)

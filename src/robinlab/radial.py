@@ -45,6 +45,7 @@ DEFAULT_STEPS = 4096
 _COARSE_STEPS = 512
 BC_TOL = 1e-9
 ODE_RESIDUAL_TOL = 1e-8
+_RTOL = 4.0 * np.finfo(float).eps  # brentq's default relative tolerance, and its floor
 
 
 def unit_ball_volume(n: int) -> float:
@@ -288,29 +289,31 @@ def _shoot_annulus(n, q, beta, c, eps, r1, r2, M, a, store=False):
     return _rk4(n, _source(q, c), r1, (r2 - r1) / M, M, [(a, _flux(a, beta, c, eps))], store)
 
 
-def _root(f, lo, hi):
+def _root(f, lo, hi, rtol=_RTOL):
     """Brent's method (Brent 1973) on a sign-changing bracket [lo, hi]. The
-    relative tolerance 4 eps alone sets the precision, so that tiny roots are
-    resolved too; brentq only needs a positive xtol."""
-    a, info = brentq(f, lo, hi, xtol=1e-300, full_output=True, disp=False)
+    relative tolerance rtol (at least brentq's floor of 4 eps) alone sets the
+    precision, so that tiny roots are resolved too; brentq only needs a
+    positive xtol."""
+    a, info = brentq(f, lo, hi, xtol=1e-300, rtol=rtol, full_output=True, disp=False)
     if not info.converged:
         raise SolverError(f"Brent root search did not converge: {info.flag}")
     return a
 
 
-def _refine(f, a, lo, hi, M):
+def _refine(f, a, lo, hi, M, rtol=_RTOL):
     """Root of the residual f(x, M) near the root a that the search found at
     min(_COARSE_STEPS, M) steps inside the bracket [lo, hi]. The root shifts
     by O(M^-4) between step counts, so Brent starts on a bracket of relative
     width 1e-9 around a, widened x1000 per step up to [lo, hi]; the root is
-    lost only if it left [lo, hi]. At M <= _COARSE_STEPS a is the root."""
+    lost only if it left [lo, hi]. rtol is Brent's relative tolerance. At
+    M <= _COARSE_STEPS a is the root."""
     if M <= _COARSE_STEPS:
         return a
     w = 5e-10 * a
     while True:
         bracket = (max(lo, a - w), min(hi, a + w))
         try:
-            return _root(lambda x: f(x, M), *bracket)
+            return _root(lambda x: f(x, M), *bracket, rtol)
         except ValueError:  # brentq found no sign change at M
             if bracket == (lo, hi):
                 raise SolverError("shooting bracket lost between step counts") from None
@@ -418,6 +421,7 @@ def solve_ball(params: RadialParams, R: float, M: int = DEFAULT_STEPS) -> Radial
 
     hi = 10.0 * (R / (p.n * p.beta) + R * R / (2.0 * p.n) + p.c)
     lo = 0.0
+    rtol = _RTOL
     if p.c > 0.0 and p.eps == 0.0:
         # complementarity branch first: the Dirichlet root is the contact
         # profile when it meets the slope condition; else the Robin root of
@@ -444,8 +448,12 @@ def solve_ball(params: RadialParams, R: float, M: int = DEFAULT_STEPS) -> Radial
                 raise SolverError("no boundary-residual root found for c = 0")
             hi, lo = lo, 0.1 * lo
             shrink += 1
+        # psi(r) = a phi(a^((q-2)/2) r) with phi(0) = 1, so the residual's
+        # slope in log a shrinks with (2 - q)/2; below that relative
+        # precision Brent only bisects through the integrator's rounding
+        rtol = _RTOL * 2.0 / (2.0 - p.q)
     hi = widen(robin, hi)
-    return profile(_refine(robin, _root(robin, lo, hi), lo, hi, M), robin_mode)
+    return profile(_refine(robin, _root(robin, lo, hi, rtol), lo, hi, M, rtol), robin_mode)
 
 
 # ---------------------------------------------------------------------------

@@ -523,3 +523,14 @@ def test_displaced_coarse_root_widens_the_bracket(monkeypatch):
     shift = 99.0
     with pytest.raises(SolverError, match="bracket lost between step counts"):
         solve_ball(p, 1.0)
+
+
+def test_near_q2_root_stops_at_the_scaled_tolerance(monkeypatch):
+    # at c = 0 the residual's slope in log a shrinks with (2 - q)/2, so Brent
+    # stops at 4 eps x 2/(2 - q) relative: at 4 eps it bisected through the
+    # integrator's rounding and took 13 passes at M on this input
+    passes = _passes(monkeypatch)
+    p = RadialParams(n=3, q=1.8927479889242407, beta=0.9915469670825734)
+    prof = solve_ball(p, 0.500985137533762, M=2048)
+    assert passes[2048] == 4
+    assert abs(prof.bc_residual) <= 1e-15 * abs(prof.dpsi[-1])
