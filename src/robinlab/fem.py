@@ -384,10 +384,12 @@ def minimize_energy(mesh: Mesh, params: RadialParams) -> tuple[ScalarField, Ener
 
     The energy's terms cancel (at a c = 0 minimizer their absolute sum is
     (q + 2)/(2 - q) times |E|), so the rise and stopping tests compare with
-    S = max(1, |dirichlet| + |boundary| + |bulk|): a rise beyond 1e-12 S
-    raises SolverError, and the loop stops when the energy decrease is below
-    1e-12 S and the max nodal update below 1e-10 max(1, sup u), or reports
-    converged=False after MAX_OUTER steps. The LU of K + beta B is the one
+    S = |dirichlet| + |boundary| + |bulk|: a rise beyond 1e-12 S raises
+    SolverError, and the loop stops when the energy decrease is at most
+    1e-12 S and the max nodal update at most 1e-10 sup u, or reports
+    converged=False after MAX_OUTER steps. Both tests scale with the field,
+    so a solve with sup u far below 1 is held to the same relative
+    precision. The LU of K + beta B is the one
     the mesh holds for this beta, built here if it holds none.
     """
     p = params
@@ -416,7 +418,7 @@ def minimize_energy(mesh: Mesh, params: RadialParams) -> tuple[ScalarField, Ener
             dirichlet, boundary, bulk = t * t * dirichlet, t * t * boundary, t**p.q * bulk
         E_next = dirichlet + boundary + bulk
         # the rounding floor of a sum of terms that cancel
-        size = max(1.0, abs(dirichlet) + abs(boundary) + abs(bulk))
+        size = abs(dirichlet) + abs(boundary) + abs(bulk)
         if E_next > E + 1e-12 * size:
             raise SolverError(
                 f"energy rose at outer iteration {k}: relative rise {(E_next - E) / size:.3e}"
@@ -424,7 +426,7 @@ def minimize_energy(mesh: Mesh, params: RadialParams) -> tuple[ScalarField, Ener
         dE = E - E_next
         du = float(np.max(np.abs(u_next - u)))
         u, E = u_next, E_next
-        if dE < 1e-12 * size and du < 1e-10 * max(1.0, float(np.max(u))):
+        if dE <= 1e-12 * size and du <= 1e-10 * float(np.max(u)):
             converged = True
             break
 
@@ -489,25 +491,3 @@ def lambda_2(mesh: Mesh, beta: float, return_field: bool = False):
             return lam_new
         lam = lam_new
     raise SolverError("inverse iteration failed to settle within the cap")
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def mesh_to_csv(mesh: Mesh, vertices_path, triangles_path) -> None:
-    with open(vertices_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,y\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{x:.12g},{y:.12g}\n")
-    with open(triangles_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("v0,v1,v2\n")
-        for a, b, c in mesh.triangles:
-            fh.write(f"{a},{b},{c}\n")
-
-
-def field_to_csv(field: ScalarField, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,y,value\n")
-        for (x, y), v in zip(field.mesh.vertices, field.values):
-            fh.write(f"{x:.12g},{y:.12g},{v:.12g}\n")

@@ -148,13 +148,6 @@ def equivalent_ball_radius(d: StarDomain) -> float:
     return math.sqrt(area(d) / math.pi)
 
 
-def iso_deficit(d: StarDomain) -> float:
-    """|Omega|^(-1/2) (Per(Omega) - Per(B)) with |B| = |Omega|; >= 0 up to
-    polygonal discretization."""
-    A = area(d)
-    return (perimeter(d) - 2.0 * math.sqrt(math.pi * A)) / math.sqrt(A)
-
-
 def boundary_radius(d: StarDomain, theta) -> np.ndarray:
     """Exact polygon boundary radius about the domain center at angles theta.
 

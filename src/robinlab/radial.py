@@ -3,16 +3,19 @@
 Profiles solve psi'' + (n-1)/r psi' + (psi + c)^(q-1) = 0 with psi'(0) = 0 and
 the boundary law psi'(R) + beta (psi(R) + c (1+eps) psi(R)^eps) = 0 (outer
 normal; the inner boundary of an annulus flips the sign of psi'). Shooting on
-the center value a = psi(0) with one fixed-step RK4 integrator, whose source
-term is (psi + c)^(q-1) here and lam psi for the q = 2 eigenvalue. Every
-shooting root takes one coarse-to-fine path: a bracket is searched (or
-scanned) at min(_COARSE_STEPS, M) steps, Brent's method (scipy's brentq)
-finds the root there, and _refine finds the root at M steps in a bracket of
-relative width 1e-9 around it, widened x1000 per step up to the coarse
-bracket. The ball profile at q = 1 is the quadratic a - r^2/(2n), so its
-center value is closed form and one pass builds it. The first step uses the
-even series psi ~ a - A r^2/(2n) + B r^4 to clear the (n-1)/r singularity,
-with A = (a+c)^(q-1) and B = (q-1) A^2 / (8 n (n+2) (a+c)).
+the center value a = psi(0) with one fixed-step RK4 integrator (compensated
+sums), whose source term is (psi + c)^(q-1) here and lam psi for the q = 2
+eigenvalue. Every shooting root takes one coarse-to-fine path: a bracket is
+searched (or scanned) at min(_COARSE_STEPS, M) steps, Brent's method
+(scipy's brentq) finds the root there, and _refine moves it to the root at
+M steps by chord steps x <- x - f(x, M) / slope, the slope taken from one
+coarse finite difference (Keller 1968; Ortega & Rheinboldt 1970, 7.1). The
+root moves by O(_COARSE_STEPS^-4) between step counts, so one chord step
+lands at rounding level. The ball profile at q = 1 is the quadratic
+a - r^2/(2n), so its center value is closed form and numpy builds it
+without an integrator pass. The first RK4 step uses the even series
+psi ~ a - A r^2/(2n) + B r^4 to clear the (n-1)/r singularity, with
+A = (a+c)^(q-1) and B = (q-1) A^2 / (8 n (n+2) (a+c)).
 
 The ball energy is
     E = 1/2 int |psi'|^2 + (beta/2) Per(B_R) (psi_R^2 + 2 c psi_R^(1+eps))
@@ -46,6 +49,12 @@ _COARSE_STEPS = 512
 BC_TOL = 1e-9
 ODE_RESIDUAL_TOL = 1e-8
 _RTOL = 4.0 * np.finfo(float).eps  # brentq's default relative tolerance, and its floor
+# relative step of the coarse finite-difference slope: rounding moves that
+# slope by about 1e-6 relative, while a step of 1e-7 missed the slope 4x where
+# psi(R)^eps bends the residual near psi(R) = 0
+_FD_STEP = 1e-10
+_CHORD_PASSES = 6  # full-resolution passes a chord refinement may take
+_NOISE = 1e-12  # relative chord steps up to this size may be rounding noise
 
 
 def unit_ball_volume(n: int) -> float:
@@ -217,7 +226,7 @@ def _series_step(n, q, c, a, h):
     # the r^4 coefficient grows like (a + c)^(2q - 3); once the first step's
     # drop exceeds a + c the series no longer describes the step, so keep
     # only the r^2 term
-    if q == 1.0 or a + c <= 0.0 or A == 0.0 or drop > a + c:
+    if a + c <= 0.0 or A == 0.0 or drop > a + c:
         B = 0.0
     else:
         B = (q - 1.0) * A * A / (8.0 * n * (n + 2) * (a + c))
@@ -230,12 +239,16 @@ def _rk4(n, source, r0, h, M, start, store=False):
     """Fixed-step RK4 for psi'' = -(n-1)/r psi' - source(psi) on the nodes
     r0 + i h, i = 0..M. `start` lists the (psi, psi') pairs known at the first
     nodes, and the integration continues from the last of them. Returns
-    (psi, psi') at node M and, when store=True, the (grid, psi, dpsi) arrays."""
+    (psi, psi') at node M and, when store=True, the (grid, psi, dpsi) arrays.
+    psi and psi' are compensated sums (Kahan 1965): plain sums round once per
+    step and leave ~1e-15 relative noise in the state at node M, which the
+    boundary residuals near a root would inherit."""
     nm1 = float(n - 1)
     h2 = 0.5 * h
     h6 = h / 6.0
     k = len(start) - 1
     psi, s = start[-1]
+    err_psi = err_s = 0.0  # rounding the last additions lost
     if store:
         psi_arr = np.empty(M + 1)
         s_arr = np.empty(M + 1)
@@ -252,8 +265,14 @@ def _rk4(n, source, r0, h, M, start, store=False):
         s4 = s + h * f3
         p4 = psi + h * s3
         f4 = -nm1 * s4 / (r + h) - source(p4)
-        psi += h6 * (s + 2.0 * (s2 + s3) + s4)
-        s += h6 * (f1 + 2.0 * (f2 + f3) + f4)
+        d = h6 * (s + 2.0 * (s2 + s3) + s4) - err_psi
+        t = psi + d
+        err_psi = (t - psi) - d
+        psi = t
+        d = h6 * (f1 + 2.0 * (f2 + f3) + f4) - err_s
+        t = s + d
+        err_s = (t - s) - d
+        s = t
         if store:
             psi_arr[i + 1] = psi
             s_arr[i + 1] = s
@@ -276,9 +295,16 @@ def _source(q, c):
 
 
 def _shoot_ball(n, q, c, R, M, a, store=False):
-    """Integrate from the center with psi(0)=a; returns (psi(R), psi'(R)) and,
-    when store=True, the full (grid, psi, dpsi) arrays."""
+    """Shot from the center with psi(0)=a; returns (psi(R), psi'(R)) and,
+    when store=True, the full (grid, psi, dpsi) arrays. At q = 1 the profile
+    is the quadratic a - r^2/(2n), built without an integrator pass."""
     h = R / M
+    if q == 1.0:
+        grid = np.arange(M + 1) * h
+        psi, dpsi = a - grid * grid / (2.0 * n), -grid / n
+        dpsi[0] = 0.0  # +0, as the integrator starts; -0 would print as "-0"
+        ends = float(psi[-1]), float(dpsi[-1])
+        return (*ends, (grid, psi, dpsi)) if store else ends
     start = [(a, 0.0), _series_step(n, q, c, a, h)]
     return _rk4(n, _source(q, c), 0.0, h, M, start, store)
 
@@ -300,24 +326,40 @@ def _root(f, lo, hi, rtol=_RTOL):
     return a
 
 
-def _refine(f, a, lo, hi, M, rtol=_RTOL):
+def _refine(f, a, lo, hi, M):
     """Root of the residual f(x, M) near the root a that the search found at
     min(_COARSE_STEPS, M) steps inside the bracket [lo, hi]. The root shifts
-    by O(M^-4) between step counts, so Brent starts on a bracket of relative
-    width 1e-9 around a, widened x1000 per step up to [lo, hi]; the root is
-    lost only if it left [lo, hi]. rtol is Brent's relative tolerance. At
-    M <= _COARSE_STEPS a is the root."""
+    by O(_COARSE_STEPS^-4) between step counts, so chord steps
+    x <- x - f(x, M) / slope from a, with the slope of one coarse finite
+    difference, reach rounding level after about one step (Ortega &
+    Rheinboldt 1970, 7.1). The loop stops when a step falls below 4 eps |x|,
+    or stops shrinking within rounding (_NOISE |x|), and returns the
+    evaluated iterate of least |f(x, M)|, so that rounding in the last step
+    cannot leave a worse residual. An iterate outside [lo, hi], steps that
+    grow above rounding or a loop that does not settle in _CHORD_PASSES
+    passes raise SolverError. At M <= _COARSE_STEPS a is the root."""
     if M <= _COARSE_STEPS:
         return a
-    w = 5e-10 * a
-    while True:
-        bracket = (max(lo, a - w), min(hi, a + w))
-        try:
-            return _root(lambda x: f(x, M), *bracket, rtol)
-        except ValueError:  # brentq found no sign change at M
-            if bracket == (lo, hi):
-                raise SolverError("shooting bracket lost between step counts") from None
-            w *= 1000.0
+    d = _FD_STEP * a
+    slope = (f(a + d, _COARSE_STEPS) - f(a, _COARSE_STEPS)) / d
+    if not (math.isfinite(slope) and slope != 0.0):
+        raise SolverError("chord slope of the shooting residual is zero or not finite")
+    x, best, last = a, (math.inf, a), math.inf
+    for _ in range(_CHORD_PASSES):
+        fx = f(x, M)
+        best = min(best, (abs(fx), x))
+        step = fx / slope
+        if abs(step) <= _RTOL * abs(x):
+            return best[1]
+        if abs(step) >= last:  # rounding noise, or a chord that diverges
+            if abs(step) <= _NOISE * abs(x):
+                return best[1]
+            raise SolverError("chord steps grow above rounding: the coarse slope misfits")
+        last = abs(step)
+        x -= step
+        if not lo <= x <= hi:
+            raise SolverError("chord step left the coarse shooting bracket")
+    raise SolverError("chord refinement did not settle at full resolution")
 
 
 def shoot_once(params: RadialParams, R: float, a: float, M: int = DEFAULT_STEPS):
@@ -325,6 +367,8 @@ def shoot_once(params: RadialParams, R: float, a: float, M: int = DEFAULT_STEPS)
 
     No boundary condition is imposed, so the discretization error of the
     integrator is visible directly; step-halving studies use this entry point.
+    At q = 1 the shot is the closed-form quadratic a - r^2/(2n), so it shows
+    no integrator error at any M.
     """
     p = params
     if not R > 0.0:
@@ -344,11 +388,13 @@ def solve_ball(params: RadialParams, R: float, M: int = DEFAULT_STEPS) -> Radial
     'obstacle_contact'; otherwise the Robin root lies above it.
 
     At q = 1, x = psi(R) solves x + c (1+eps) x^eps = R/(n beta) without a
-    shot, and one pass at a = x + R^2/(2n) builds the profile. At q > 1 the
-    search runs at min(_COARSE_STEPS, M) steps, each root is then found at M
-    by _refine, and the mode is decided at M. A profile that fails
-    RadialProfile validation raises SolverError with the reason. The profile
-    records in `shots` how many integrator passes built it.
+    shot, and the profile at a = x + R^2/(2n) is the closed-form quadratic,
+    built without an integrator pass. At q > 1 the search runs at
+    min(_COARSE_STEPS, M) steps, _refine moves each root to M by chord steps
+    (one or two passes at M), one stored pass builds the profile, and the
+    mode is decided at M. A profile that fails RadialProfile validation
+    raises SolverError with the reason. The profile records in `shots` how
+    many integrator passes built it (0 at q = 1).
     """
     p = params
     R = float(R)
@@ -376,9 +422,11 @@ def solve_ball(params: RadialParams, R: float, M: int = DEFAULT_STEPS) -> Radial
 
     def profile(a, mode):
         # one stored pass at M, which also gives the residual that admits a
-        # Robin-type root; a profile that fails validation is a solver failure
+        # Robin-type root; a profile that fails validation is a solver
+        # failure. Only this pass stores arrays: storing every pass at M
+        # raised shape_sweep's peak RSS by about 8 MB
         psiR, sR, arrays = _shoot_ball(p.n, p.q, p.c, R, M, a, store=True)
-        shots = shoot.cache_info().currsize + 1
+        shots = 0 if p.q == 1.0 else shoot.cache_info().currsize + 1
         contact = mode == "obstacle_contact"
         res = psiR if contact else bc_residual(psiR, sR)
         if contact or (abs(res) <= BC_TOL and psiR >= -1e-12):
@@ -453,7 +501,7 @@ def solve_ball(params: RadialParams, R: float, M: int = DEFAULT_STEPS) -> Radial
         # precision Brent only bisects through the integrator's rounding
         rtol = _RTOL * 2.0 / (2.0 - p.q)
     hi = widen(robin, hi)
-    return profile(_refine(robin, _root(robin, lo, hi, rtol), lo, hi, M, rtol), robin_mode)
+    return profile(_refine(robin, _root(robin, lo, hi, rtol), lo, hi, M), robin_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +561,8 @@ def eigenvalue_q2_ball(
     psi'(0) = 0, psi'(R) + beta psi(R) = 0. A scan in lam at
     min(_COARSE_STEPS, M) steps isolates the first sign change of the boundary
     residual, so the smallest eigenvalue is returned; Brent's method finds the
-    root at the scan's step count, then at M in a tight bracket around it."""
+    root at the scan's step count, and chord steps at M (_refine) move it to
+    the root at M."""
     n = int(n)
     beta = float(beta)
     R = float(R)
@@ -592,7 +641,8 @@ def annulus_exclusion(
     H(r1) - H(r2) + (beta/2)(n-1) [ (psi1^2 + 2c psi1^(1+eps))/r1 + (outer) ].
     A 48-point amplitude scan at min(_COARSE_STEPS, M) steps stops at the
     first sign change of the outer residual; Brent's method finds the root
-    at the scan's step count, then at M in a tight bracket around it.
+    at the scan's step count, and chord steps at M (_refine) move it to the
+    root at M.
     Positive residual excludes a stationary annulus. When no admissible
     positive profile exists the exclusion holds vacuously (reported as pass
     with infinite margin)."""

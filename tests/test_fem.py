@@ -14,11 +14,9 @@ from robinlab.fem import (
     Mesh,
     ScalarField,
     assemble,
-    field_to_csv,
     lambda_2,
     lambda_q,
     mesh_star,
-    mesh_to_csv,
     minimize_energy,
 )
 from robinlab.radial import RadialParams, ball_energy, eigenvalue_q2_ball, solve_ball
@@ -93,13 +91,13 @@ def test_mesh_rim_mismatch_rejected():
 
 
 def test_obstacle_factorizations_counted():
-    # q = 1.5, c = 0.3 on ellipse(1.3): 19 outer iterations over a handful of
+    # q = 1.5, c = 0.3 on ellipse(1.3): 20 outer iterations over a handful of
     # active sets; each solve starts from the last set and refactors only
     # when the set changes
     mesh = mesh_star(geo.ellipse(1.3), 48, 96)
     _, rep = minimize_energy(mesh, RadialParams(n=2, q=1.5, beta=1.0, c=0.3))
     assert rep.converged
-    assert rep.E == -0.060316851187459136
+    assert rep.E == -0.06031685118745875
     assert 2 <= rep.factorizations <= 12
     # the free solve reuses the LU of K + beta B that the mesh now holds
     _, free = minimize_energy(mesh, RadialParams(n=2, q=1.5, beta=1.0))
@@ -167,8 +165,11 @@ def test_fixed_point_converges_below_rounding_rises():
         (geo.disk(1.0), 12, 1.95, 0.05),  # sup u = 1.1e20
         (geo.disk(1.0), 48, 1.95, 0.5),
         (geo.stadium(0.8, 1.0), 48, 1.95, 0.5),
+        # sup u = 5.7e-5: an absolute 1e-10 on du and a floor of 1 under the
+        # energy scale stopped at 1.7e-7 sup u
+        (geo.ellipse(1.3), 48, 1.9, 2.0),
     ],
-    ids=["disk12-beta0.05", "disk48", "stadium48"],
+    ids=["disk12-beta0.05", "disk48", "stadium48", "ellipse48-small-field"],
 )
 def test_near_q2_solve_converges_to_a_fixed_point(d, n_r, q, beta):
     # the energy's terms cancel to (2 - q)/(q + 2) of their size here, so the
@@ -213,11 +214,13 @@ ELLIPSE_13_ENERGIES = {
 @pytest.mark.parametrize("q, beta", sorted(ELLIPSE_13_ENERGIES))
 def test_rescaled_fixed_point_takes_few_outer_iterations(q, beta):
     # at c = 0 each iterate is rescaled to the energy's minimum along its ray,
-    # which removes the slow scaling mode (rate q - 1) of the plain loop
+    # which removes the slow scaling mode (rate q - 1) of the plain loop. At
+    # q = 1.8, beta = 2 (sup u = 0.0086) the nodal update now has to fall
+    # below 1e-10 sup u, not an absolute 1e-10: two steps more at rate 0.2
     mesh = mesh_star(geo.ellipse(1.3), 48, 96)
     _, rep = minimize_energy(mesh, RadialParams(n=2, q=q, beta=beta))
     assert rep.converged
-    assert rep.iterations <= 12
+    assert rep.iterations <= (14 if (q, beta) == (1.8, 2.0) else 12)
     ref = ELLIPSE_13_ENERGIES[q, beta]
     assert abs(rep.E - ref) <= 1e-12 * abs(ref)
 
@@ -360,20 +363,6 @@ def test_report_and_field_validation(disk_mesh):
     bad[0] = np.inf
     with pytest.raises(ValueError):
         ScalarField(disk_mesh, bad)
-
-
-def test_mesh_field_csv_round_trip(tmp_path):
-    mesh = mesh_star(geo.ellipse(1.2), 8, 16)
-    field, _ = minimize_energy(mesh, RadialParams(n=2, q=1.0, beta=1.0))
-    vp, tp, fp = tmp_path / "v.csv", tmp_path / "t.csv", tmp_path / "f.csv"
-    mesh_to_csv(mesh, vp, tp)
-    field_to_csv(field, fp)
-    verts = np.genfromtxt(vp, delimiter=",", names=True)
-    tris = np.genfromtxt(tp, delimiter=",", names=True, dtype=np.int64)
-    vals = np.genfromtxt(fp, delimiter=",", names=True)
-    assert verts.shape[0] == mesh.n_vertices
-    assert tris.shape[0] == mesh.triangles.shape[0]
-    assert np.max(np.abs(vals["value"] - field.values)) < 1e-10
 
 
 @settings(max_examples=5)

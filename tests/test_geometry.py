@@ -98,11 +98,6 @@ def test_stadium_measures():
     assert abs(geo.perimeter(d) - per_exact) / per_exact < 1e-3
 
 
-def test_iso_deficit_signs():
-    assert geo.iso_deficit(geo.disk(1.0)) < 1e-3
-    assert geo.iso_deficit(geo.ellipse(1.5)) > 0.01
-
-
 def test_validation():
     with pytest.raises(ValueError):
         geo.StarDomain(center=np.zeros(2), radii=np.ones(8))
@@ -125,7 +120,6 @@ def test_scaling_laws(t, a):
     ds = d.scaled(t)
     assert abs(geo.area(ds) - t**2 * geo.area(d)) < 1e-12 * t**2
     assert abs(geo.perimeter(ds) - t * geo.perimeter(d)) < 1e-12 * t
-    assert abs(geo.iso_deficit(ds) - geo.iso_deficit(d)) < 1e-10
 
 
 @given(

@@ -320,17 +320,27 @@ def test_annulus_margin_scales_with_the_profile():
 
 def test_shot_counts_stay_superlinear():
     # Brent's method needs a handful of shots where the two-stage bisection
-    # took 68 (136 on the contact branch)
-    robin = solve_ball(RadialParams(n=2, q=1.0, beta=1.0), 1.1)
+    # took 68 (136 on the contact branch); the q = 1 profile is closed form
+    closed = solve_ball(RadialParams(n=2, q=1.0, beta=1.0), 1.1)
+    assert closed.mode == "robin" and closed.shots == 0
+    robin = solve_ball(RadialParams(n=2, q=1.5, beta=1.0), 1.1)
     assert robin.mode == "robin" and 0 < robin.shots <= 15
     contact = solve_ball(RadialParams(n=2, q=1.3, beta=1.2, c=2.0), 1.1)
     assert contact.mode == "obstacle_contact" and 0 < contact.shots <= 20
 
 
 def test_lost_bracket_raises_solver_error():
-    # a scan bracket that no longer changes sign at the full step count
-    with pytest.raises(SolverError, match="bracket lost between step counts"):
+    # a residual without a root in the coarse bracket at the full step count
+    with pytest.raises(SolverError, match="left the coarse shooting bracket"):
         _refine(lambda x, steps: 1.0 + x, 0.5, 0.0, 1.0, radial.DEFAULT_STEPS)
+    # a coarse slope 100x too steep: every chord step covers 1 % of the way
+    flat = lambda x, steps: (x - 0.5) * (1.0 if steps == radial._COARSE_STEPS else 0.01) - 1e-3
+    with pytest.raises(SolverError, match="did not settle"):
+        _refine(flat, 0.5 + 1e-3, 0.0, 1.0, radial.DEFAULT_STEPS)
+    # a coarse slope 2.5x too shallow: the chord overshoots more each step
+    steep = lambda x, steps: (x - 0.5) * (1.0 if steps == radial._COARSE_STEPS else 2.5) - 0.125
+    with pytest.raises(SolverError, match="steps grow above rounding"):
+        _refine(steep, 0.625, 0.0, 1.0, radial.DEFAULT_STEPS)
 
 
 def test_annulus_scan_stops_at_the_first_sign_change(monkeypatch):
@@ -406,10 +416,10 @@ def test_no_integrator_pass_runs_twice_in_one_solve(monkeypatch, solve):
 @pytest.mark.parametrize("n, beta, R", [(2, 1.0, 1.0), (3, 2.0, 1.5), (3, 0.7, 0.9)])
 def test_eigenvalue_shoots_at_full_resolution_only_near_the_root(monkeypatch, n, beta, R):
     # the root is found at _COARSE_STEPS first; a scan bracket refined at M
-    # took 8-9 passes there
+    # took 8-9 passes there; the chord takes 2
     passes = _passes(monkeypatch)
     eigenvalue_q2_ball(n, beta, R)
-    assert passes[radial.DEFAULT_STEPS] <= 7
+    assert passes[radial.DEFAULT_STEPS] <= 3
 
 
 @pytest.mark.parametrize(
@@ -417,11 +427,12 @@ def test_eigenvalue_shoots_at_full_resolution_only_near_the_root(monkeypatch, n,
     [(2, 1.5, 1.0, 0.4, 1.2), (2, 1.9, 1.5, 0.5, 1.4), (3, 1.7, 0.6, 0.6, 1.6)],
 )
 def test_annulus_shoots_at_full_resolution_only_near_the_root(monkeypatch, n, q, beta, r1, r2):
-    # a scan bracket refined at M took 11-23 passes there
+    # a scan bracket refined at M took 11-23 passes there; the chord takes at
+    # most 3, and one stored pass builds the profile
     passes = _passes(monkeypatch)
     rep = annulus_exclusion(RadialParams(n=n, q=q, beta=beta), r1, r2)
     assert rep.inputs["admissible"] and rep.passed
-    assert passes[radial.DEFAULT_STEPS] <= 10
+    assert passes[radial.DEFAULT_STEPS] <= 3 + 1
 
 
 def test_eigenvalue_and_annulus_below_the_coarse_step_count_shoot_only_at_m(monkeypatch):
@@ -451,7 +462,8 @@ def test_unverified_profile_is_a_solver_failure():
     ],
 )
 def test_q1_center_value_is_closed_form_from_one_pass(monkeypatch, n, f_c, eps, mode):
-    # psi = a - r^2/(2n), so x = psi(R) solves x + c (1+eps) x^eps = R/(n beta)
+    # psi = a - r^2/(2n), so x = psi(R) solves x + c (1+eps) x^eps = R/(n beta),
+    # and one closed-form build, with no integrator pass, gives the profile
     beta, R = 0.8, 1.3
     rhs = R / (n * beta)
     c = f_c * rhs
@@ -463,13 +475,36 @@ def test_q1_center_value_is_closed_form_from_one_pass(monkeypatch, n, f_c, eps, 
     prof = solve_ball(RadialParams(n=n, q=1.0, beta=beta, c=c, eps=eps), R)
     assert prof.mode == mode
     assert abs(prof.psi[0] - (x + R**2 / (2 * n))) <= 1e-13 * prof.psi[0]
-    assert passes == {radial.DEFAULT_STEPS: 1} and prof.shots == 1
+    assert passes == {} and prof.shots == 0
+    exact = x + (R**2 - prof.grid**2) / (2 * n)
+    assert np.max(np.abs(prof.psi - exact)) <= 1e-13 * prof.psi[0]
+    assert np.max(np.abs(prof.dpsi + prof.grid / n)) <= 1e-13 * R
 
 
-def test_penalized_ball_at_q1_shoots_once_per_radius(monkeypatch):
+def test_penalized_ball_at_q1_runs_no_integrator_pass(monkeypatch):
     passes = _passes(monkeypatch)
-    penalized_ball_argmin(RadialParams(n=2, q=1.0, beta=1.0), math.pi, 0.0, n_grid=12, M=1024)
-    assert passes == {1024: 12}
+    rho, rep = penalized_ball_argmin(
+        RadialParams(n=2, q=1.0, beta=1.0), math.pi, 0.0, n_grid=12, M=1024
+    )
+    assert passes == {}
+    assert rho == 1.0 and rep.passed
+
+
+@pytest.mark.parametrize("n, beta, R, a", [(2, 1.0, 1.0, 0.75), (3, 0.8, 1.3, 2.1)])
+def test_q1_closed_form_profile_matches_one_rk4_pass(n, beta, R, a):
+    # the quadratic a - r^2/(2n) is what RK4 integrates, up to rounding
+    M = radial.DEFAULT_STEPS
+    psiR, sR, (grid, psi, dpsi) = radial._shoot_ball(n, 1.0, 0.0, R, M, a, store=True)
+    h = R / M
+    start = [(a, 0.0), radial._series_step(n, 1.0, 0.0, a, h)]
+    psiR_rk, sR_rk, (grid_rk, psi_rk, dpsi_rk) = radial._rk4(
+        n, radial._source(1.0, 0.0), 0.0, h, M, start, store=True
+    )
+    assert np.array_equal(grid, grid_rk)
+    assert np.max(np.abs(psi - psi_rk)) <= 1e-13 * np.max(np.abs(psi_rk))
+    assert np.max(np.abs(dpsi - dpsi_rk)) <= 1e-13 * np.max(np.abs(dpsi_rk))
+    assert abs(psiR - psiR_rk) <= 1e-13 * abs(psiR_rk)
+    assert abs(sR - sR_rk) <= 1e-13 * abs(sR_rk)
 
 
 @pytest.mark.parametrize(
@@ -486,19 +521,38 @@ def test_penalized_ball_at_q1_shoots_once_per_radius(monkeypatch):
 def test_full_resolution_passes_only_near_the_root(monkeypatch, kw, R, mode):
     # the search runs at _COARSE_STEPS; at M only the roots are refined, to a
     # residual below what the coarse root leaves there (4e-15 |psi'(R)| or
-    # more on these cases)
+    # more on these cases). Each root takes at most 3 chord passes at M, and
+    # one more stored pass builds the profile
+    M = radial.DEFAULT_STEPS
     passes = _passes(monkeypatch)
-    prof = solve_ball(RadialParams(**kw), R)
+    per_root = []
+
+    def counted(f, a, lo, hi, steps):
+        before = passes.get(M, 0)
+        x = refine(f, a, lo, hi, steps)
+        per_root.append(passes.get(M, 0) - before)
+        return x
+
+    refine = radial._refine
+    monkeypatch.setattr(radial, "_refine", counted)
+    p = RadialParams(**kw)
+    prof = solve_ball(p, R)
     assert prof.mode == mode
-    assert passes[radial.DEFAULT_STEPS] <= 10
+    assert per_root and max(per_root) <= 3
+    # besides the chord passes: the stored profile, and at c > 0, eps = 0 the
+    # slope test on the coarse Dirichlet root (a contact refinement starts
+    # from that shot, so it does not count it)
+    extra = 2 if p.c > 0.0 and p.eps == 0.0 else 1
+    assert passes[M] == sum(per_root) + extra
     assert prof.shots == sum(passes.values())
     assert abs(prof.bc_residual) <= min(1e-12, 1e-15 * abs(prof.dpsi[-1]))
 
 
-def test_displaced_coarse_root_widens_the_bracket(monkeypatch):
+def test_displaced_coarse_root_is_refined_to_the_same_profile(monkeypatch):
     # a coarse search that sees every center value 1e-6 (relative) too high
-    # puts its root outside the first bracket at M: widening still finds the
-    # same root; displaced by 100x the root leaves the coarse bracket
+    # puts its root 1e-6 away from the root at M: the chord steps still find
+    # the same root, one pass later; displaced by 100x the coarse slope is
+    # 100x too steep, and the chord does not settle
     p = RadialParams(n=2, q=1.5, beta=1.0)
     shoot = radial._shoot_ball
     fine = []
@@ -517,20 +571,54 @@ def test_displaced_coarse_root_widens_the_bracket(monkeypatch):
     fine.clear()
     shift = 1e-6
     prof = solve_ball(p, 1.0)
-    assert len(fine) >= n_ref + 4  # two brackets at M without a sign change
+    assert n_ref < len(fine) <= 3 + 1  # chord passes, then the stored profile
     assert np.max(np.abs(prof.psi - ref.psi)) <= 1e-12 * ref.psi[0]
     assert abs(prof.bc_residual) <= 1e-12
     shift = 99.0
-    with pytest.raises(SolverError, match="bracket lost between step counts"):
+    with pytest.raises(SolverError, match="chord"):
         solve_ball(p, 1.0)
 
 
 def test_near_q2_root_stops_at_the_scaled_tolerance(monkeypatch):
-    # at c = 0 the residual's slope in log a shrinks with (2 - q)/2, so Brent
-    # stops at 4 eps x 2/(2 - q) relative: at 4 eps it bisected through the
-    # integrator's rounding and took 13 passes at M on this input
+    # at c = 0 the residual's slope in log a shrinks with (2 - q)/2, so the
+    # coarse Brent search stops at 4 eps x 2/(2 - q) relative: at 4 eps it
+    # bisected through the integrator's rounding. The chord steps at M stop
+    # on rounding too: Brent at M took 13 passes there, later 3, each with
+    # one more stored pass for the profile
     passes = _passes(monkeypatch)
     p = RadialParams(n=3, q=1.8927479889242407, beta=0.9915469670825734)
     prof = solve_ball(p, 0.500985137533762, M=2048)
-    assert passes[2048] == 4
+    assert passes[2048] <= 3 + 1
     assert abs(prof.bc_residual) <= 1e-15 * abs(prof.dpsi[-1])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    q=st.floats(min_value=1.05, max_value=1.95),
+    beta=st.floats(min_value=0.5, max_value=2.0),
+    f_c=st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=3.0)),
+    eps=st.one_of(st.just(0.0), st.floats(min_value=0.1, max_value=0.6)),
+)
+# psi(R) = 2e-9 here: a coarse slope over a step of 1e-7 a was 4x too shallow,
+# and the chord diverged
+@example(n=2, q=1.75, beta=1.0, f_c=2.0, eps=0.03125)
+def test_refined_root_matches_brent_at_full_resolution(n, q, beta, f_c, eps):
+    # the chord root agrees with Brent's method run on the same residual at M.
+    # Two regimes stay out, where the coarse search or the root at M already
+    # failed before the chord (CHANGES.md): eps in (0, 0.1) with c > 0, where
+    # psi(R) can lie within rounding of 0, and 0 < c < 0.05 R/(n beta) near
+    # q = 2, where the Dirichlet search's Brent run does not converge
+    R, M = 1.0, radial.DEFAULT_STEPS
+    p = RadialParams(n=n, q=q, beta=beta, c=f_c * R / (n * beta), eps=eps)
+    prof = solve_ball(p, R, M=M)
+    a = prof.psi[0]
+
+    def residual(x):
+        psiR, sR = radial._shoot_ball(n, q, p.c, R, M, x)
+        if prof.mode == "obstacle_contact":
+            return psiR
+        return sR + radial._flux(psiR, beta, p.c, eps)
+
+    a_brent = brentq(residual, a * (1.0 - 1e-12), a * (1.0 + 1e-12), xtol=1e-300)
+    assert abs(a - a_brent) <= 16.0 * np.finfo(float).eps * a
