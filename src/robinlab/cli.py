@@ -114,13 +114,7 @@ def _cmd_ball(args, out) -> int:
 
 def _cmd_check(args, out) -> int:
     grid = _float_list(args.grid, "grid")
-    res = ineq.Resolution(
-        n_r=args.n_r,
-        n_theta=args.n_theta,
-        M=args.M,
-        n_angles=args.n_angles,
-        estimate_tolerance=not args.fixed_tolerance,
-    )
+    res = ineq.Resolution(n_r=args.n_r, n_theta=args.n_theta, M=args.M, n_angles=args.n_angles)
     sw = ineq.sweep(
         args.family,
         grid,
@@ -190,11 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--K", type=int, default=cfgmod.ExperimentConfig.domain_K)
     check.add_argument("--M", type=int, default=ineq.Resolution.M)
     check.add_argument("--n-angles", dest="n_angles", type=int, default=ineq.Resolution.n_angles)
-    check.add_argument(
-        "--fixed-tolerance",
-        action="store_true",
-        help="skip the half-resolution tolerance gauge",
-    )
     check.add_argument("--csv", default="", help="also write the rows to this path")
 
     sub.add_parser("list-configs", help="list built-in configs")

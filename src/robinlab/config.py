@@ -3,26 +3,26 @@
 One assignment per line, full-line ``#`` comments, list values in square
 brackets: ``grid = [1.1, 1.2, 1.3]``. No nesting, no sections, no quoting;
 the goal is a format that diffs cleanly and parses without a dependency.
-Unknown keys and duplicate keys are rejected. Booleans are lowercase
-``true`` / ``false``.
+Unknown keys and duplicate keys are rejected.
 
 Recognized keys (R = required):
 
-    checks (R)           list of check names from inequalities.CHECKS
-    family (R)           shape family from inequalities.FAMILIES
-    grid (R)             family parameter values, nonempty
-    q                    exponent values, each in [1, 2]        [1.0]
-    beta                 boundary weights, each > 0             [1.0]
-    c_factor             obstacle levels as fractions of inf u  [0.0]
-    k                    perturbation frequency (perturbed)     2
-    n_r, n_theta         mesh resolution                        48, 96
-    K                    boundary polygon size, even, >= 64     512
-    M                    radial grid steps                      4096
-    n_angles             asymmetry sampling                     4096
-    estimate_tolerance   half-resolution tolerance gauge        true
-    default_tol          fallback tolerance fraction            1e-3
-    name                 config label                           file stem
-    output_dir           artifact directory                     out/<name>
+    checks (R)    list of check names from inequalities.CHECKS
+    family (R)    shape family from inequalities.FAMILIES
+    grid (R)      family parameter values, nonempty
+    q             exponent values, each in [1, 2]          [1.0]
+    beta          boundary weights, each > 0               [1.0]
+    c_factor      obstacle levels as fractions of inf u    [0.0]
+    k             perturbation frequency (perturbed)       2
+    n_r, n_theta  mesh resolution, >= 8 and >= 32          48, 96
+    K             boundary polygon size, even, >= 64       512
+    M             radial grid steps, >= 64                 4096
+    n_angles      asymmetry sampling, >= 32                4096
+    name          config label                             file stem
+    output_dir    artifact directory                       out/<name>
+
+Every check gauges its tolerance by recomputing both sides with n_r,
+n_theta and M halved (see inequalities.Resolution).
 
 The q = 2 endpoint parses (it is the linear eigenvalue case) but no sweep
 check accepts it; requesting it is reported as a configuration error at
@@ -41,12 +41,10 @@ from .inequalities import CHECKS, FAMILIES, Resolution
 _LIST_FLOAT = ("grid", "q", "beta", "c_factor")
 _LIST_STR = ("checks",)
 _INT = ("k", "n_r", "n_theta", "K", "M", "n_angles")
-_FLOAT = ("default_tol",)
-_BOOL = ("estimate_tolerance",)
 _STR = ("family", "name", "output_dir")
-_KNOWN = set(_LIST_FLOAT + _LIST_STR + _INT + _FLOAT + _BOOL + _STR)
+_KNOWN = set(_LIST_FLOAT + _LIST_STR + _INT + _STR)
 _REQUIRED = ("checks", "family", "grid")
-_RESOLUTION = ("n_r", "n_theta", "M", "n_angles", "estimate_tolerance", "default_tol")
+_RESOLUTION = ("n_r", "n_theta", "M", "n_angles")
 # config keys whose ExperimentConfig field has another name
 _FIELDS = {"q": "q_values", "beta": "beta_values", "c_factor": "c_factors", "K": "domain_K"}
 
@@ -122,17 +120,6 @@ def _parse_value(key: str, raw: str, lineno: int):
             return int(raw)
         except ValueError:
             raise bad(f"expected an integer, got {raw!r}") from None
-    if key in _FLOAT:
-        try:
-            return float(raw)
-        except ValueError:
-            raise bad(f"expected a number, got {raw!r}") from None
-    if key in _BOOL:
-        if raw == "true":
-            return True
-        if raw == "false":
-            return False
-        raise bad(f"expected true or false, got {raw!r}")
     return raw
 
 

@@ -47,9 +47,9 @@ ACTIVE_SET_TIE = 16.0 * np.finfo(float).eps
 class Mesh:
     """Conforming triangulation with an oriented boundary loop.
 
-    Triangles must be positively oriented; boundary_edges must trace a single
-    closed counterclockwise loop, and each must belong to exactly one
-    triangle.
+    Triangles must be positively oriented, each with an area above 1e-14 x
+    the total; boundary_edges must trace a single closed counterclockwise
+    loop, and each must belong to exactly one triangle.
     """
 
     vertices: np.ndarray
@@ -77,10 +77,12 @@ class Mesh:
             raise ValueError("triangles must be an (T, 3) index array")
         if t.min() < 0 or t.max() >= v.shape[0]:
             raise ValueError("triangle indices out of range")
+        # a sliver of area <= 1e-14 x the total is degenerate too: rounding
+        # decides the sign of its area
         areas = self.triangle_areas()
         worst = int(np.argmin(areas))
-        if areas[worst] <= 0.0:
-            raise ValueError(f"triangle {worst} has nonpositive area {areas[worst]:.3e}")
+        if areas[worst] <= 1e-14 * abs(float(np.sum(areas))):
+            raise ValueError(f"triangle {worst} is degenerate (area {areas[worst]:.3e})")
         # boundary loop: consecutive, closed, no repeated start vertex
         if b.ndim != 2 or b.shape[1] != 2 or b.shape[0] < 3:
             raise ValueError("boundary_edges must be an (E, 2) index array, E >= 3")
@@ -202,17 +204,6 @@ def mesh_star(d: StarDomain, n_r: int, n_theta: int) -> Mesh:
         tris.append(np.where(use1[:, None], t1, s1))
         tris.append(np.where(use1[:, None], t2, s2))
     triangles = np.vstack(tris)
-
-    p = verts[triangles]
-    areas = 0.5 * (
-        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-        - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0])
-    )
-    floor = 1e-14 * abs(float(np.sum(areas)))
-    bad = np.nonzero(areas <= floor)[0]
-    if bad.size:
-        raise ValueError(f"triangle {int(bad[0])} is degenerate (area {areas[bad[0]]:.3e})")
-
     boundary = np.column_stack([idx(n_r, j), idx(n_r, j + 1)])
     return Mesh(verts, triangles, boundary, n_r=n_r, n_theta=n_theta)
 

@@ -3,9 +3,8 @@
 Each check compares an energy or eigenvalue on a star-shaped domain against
 its value on the equal-area ball and reports lhs, rhs, deficit = lhs - rhs,
 and a tolerance. The side asserted to dominate is always `lhs` (see
-reports). Tolerances are estimated by recomputing both sides at half
-resolution and summing the observed shifts (a Richardson-style error gauge);
-with estimation disabled a fixed fraction of the reference scale is used.
+reports). Every tolerance is estimated by recomputing both sides at half
+resolution and summing the observed shifts (a Richardson-style error gauge).
 Rows are built one shape at a time: every check and obstacle level reads
 its bundle (`_Shape`: mesh, LU, c = 0 solve), the `half` twin and one asymmetry.
 
@@ -33,42 +32,29 @@ FAMILIES = ("disk", "ellipse", "perturbed", "stadium")
 ASYMMETRY_CUTOFF = 1e-3
 
 
+# check_trace_poincare's tolerance adds TRACE_SLACK x max(lhs, rhs) to the
+# gauged shift of the ball level; ROADMAP direction 1 (a Richardson column
+# from each row's half-level sides) is to replace it
+TRACE_SLACK = 1e-3
+
+
 @dataclass(frozen=True)
 class Resolution:
-    """Discretization knobs shared by every check.
-
-    estimate_tolerance=True recomputes each side at half resolution (mesh,
-    radial grid, boundary sampling) and uses the observed shifts as the
-    report tolerance; otherwise the fallback is default_tol x reference
-    scale.
-    """
+    """Discretization knobs shared by every check. Each check recomputes its
+    sides with n_r, n_theta and M halved and reports the shifts as its
+    tolerance, so their floors keep the halves meshable; n_angles (the
+    asymmetry sampling) is never halved."""
 
     n_r: int = 48
     n_theta: int = 96
     M: int = 4096
     n_angles: int = 4096
-    estimate_tolerance: bool = True
-    default_tol: float = 1e-3
 
     def __post_init__(self):
-        if self.estimate_tolerance and (
-            self.n_r < 8 or self.n_theta < 32 or self.M < 64 or self.n_angles < 64
-        ):
-            raise ValueError("resolution too coarse to halve")
-        if self.n_r < 4 or self.n_theta < 16 or self.M < 32 or self.n_angles < 32:
-            raise ValueError("resolution below the documented floor")
-        if not 0.0 < self.default_tol < 1.0:
-            raise ValueError("default_tol must lie in (0, 1)")
-
-    def halved(self) -> "Resolution":
-        return replace(
-            self,
-            n_r=self.n_r // 2,
-            n_theta=self.n_theta // 2,
-            M=self.M // 2,
-            n_angles=self.n_angles // 2,
-            estimate_tolerance=False,
-        )
+        if self.n_r < 8 or self.n_theta < 32 or self.M < 64 or self.n_angles < 32:
+            raise ValueError(
+                "resolution below the floor: n_r >= 8, n_theta >= 32, M >= 64, n_angles >= 32"
+            )
 
 
 def _minimize(mesh: fem.Mesh, params: RadialParams):
@@ -88,10 +74,10 @@ class _Shape:
     minimizer, the ball energy and the half-resolution twin are built on
     first use, at most once."""
 
-    def __init__(self, d: StarDomain, res: Resolution, q: float, beta: float):
-        self.d, self.res, self.q, self.beta = d, res, q, beta
+    def __init__(self, d: StarDomain, q: float, beta: float, n_r: int, n_theta: int, M: int):
+        self.d, self.q, self.beta, self.M = d, q, beta, M
         self.params = RadialParams(n=2, q=q, beta=beta)
-        self.mesh = fem.mesh_star(d, res.n_r, res.n_theta)
+        self.mesh = fem.mesh_star(d, n_r, n_theta)
         self.R = geometry.equivalent_ball_radius(d)
 
     @functools.cached_property
@@ -100,26 +86,24 @@ class _Shape:
 
     @functools.cached_property
     def ball(self) -> radial.BallEnergy:
-        return radial.ball_energy(radial.solve_ball(self.params, self.R, M=self.res.M))
+        return radial.ball_energy(radial.solve_ball(self.params, self.R, M=self.M))
 
     @functools.cached_property
     def half(self) -> "_Shape":
         d = self.d
         if d.K % 2 == 0 and d.K >= 32:
             d = StarDomain(center=d.center, radii=d.radii[::2])
-        return _Shape(d, self.res.halved(), self.q, self.beta)
+        m = self.mesh
+        return _Shape(d, self.q, self.beta, m.n_r // 2, m.n_theta // 2, self.M // 2)
 
 
 def _with_tolerance(name, sides, shape: _Shape, scale_ref, provenance, **inputs):
-    """Evaluate sides(shape) = (lhs, rhs, context), then gauge the tolerance
-    from the sides of shape.half, or fall back to default_tol x
+    """Evaluate sides(shape) = (lhs, rhs, context) and gauge the tolerance
+    from the sides of shape.half: the shifts of both sides plus 1e-9 x
     scale_ref(lhs, rhs, context). Inputs: q, beta, **inputs, context."""
     lhs, rhs, context = fine = sides(shape)
-    if shape.res.estimate_tolerance:
-        c_lhs, c_rhs, _ = sides(shape.half)
-        tol = abs(lhs - c_lhs) + abs(rhs - c_rhs) + 1e-9 * scale_ref(*fine)
-    else:
-        tol = shape.res.default_tol * scale_ref(*fine)
+    c_lhs, c_rhs, _ = sides(shape.half)
+    tol = abs(lhs - c_lhs) + abs(rhs - c_rhs) + 1e-9 * scale_ref(*fine)
     return make_report(
         name=name,
         lhs=lhs,
@@ -201,7 +185,7 @@ def _ec_ball(shape: _Shape, params: RadialParams) -> InequalityReport:
             rep, ball, mode = s.minimizer[1], s.ball, "robin"
         else:
             rep = _minimize(s.mesh, params)[1]
-            profile = radial.solve_ball(params, s.R, M=s.res.M)
+            profile = radial.solve_ball(params, s.R, M=s.M)
             ball, mode = radial.ball_energy(profile), profile.mode
         return rep.E, ball.E, {
             "inf_u": rep.inf_u,
@@ -229,7 +213,7 @@ def check_intermediate(
     """Energy deficit dominates the weighted perimeter deficit:
     E(Omega) - E(B) >= (beta/2) (inf u)^2 (Per(Omega) - Per(B)) with B the
     equal-area ball."""
-    return _intermediate(_Shape(d, res, q, beta))
+    return _intermediate(_Shape(d, q, beta, res.n_r, res.n_theta, res.M))
 
 
 def check_quantitative(
@@ -239,7 +223,7 @@ def check_quantitative(
     the ratio against squared Fraenkel asymmetry recorded for constant
     estimation whenever the asymmetry is meaningfully positive."""
     asym, _ = geometry.fraenkel_asymmetry(d, n_angles=res.n_angles)
-    return _quantitative(_Shape(d, res, q, beta), asym)
+    return _quantitative(_Shape(d, q, beta, res.n_r, res.n_theta, res.M), asym)
 
 
 def check_ec_ball_minimality(
@@ -249,7 +233,7 @@ def check_ec_ball_minimality(
     area, the obstacle level c fixed by the caller."""
     if params.eps != 0.0:
         raise ValueError("the FEM comparison side has no eps-regularized term")
-    return _ec_ball(_Shape(d, res, params.q, params.beta), params)
+    return _ec_ball(_Shape(d, params.q, params.beta, res.n_r, res.n_theta, res.M), params)
 
 
 def check_trace_poincare(
@@ -286,14 +270,11 @@ def check_trace_poincare(
 
     lam = level(mesh.area(), res.M)
     rhs = lam * qnorm
-    if res.estimate_tolerance:
-        # the field is fixed; the uncertain factor is the ball level at the
-        # mesh's area, gauged against a half-resolution radial solve and the
-        # mesh-vs-polygon area gap
-        lam_half = level(geometry.area(d), res.M // 2)
-        tol = abs(lam - lam_half) * qnorm + res.default_tol * max(energy_form, rhs)
-    else:
-        tol = res.default_tol * max(energy_form, rhs)
+    # the field is fixed; the uncertain factor is the ball level at the
+    # mesh's area, gauged against a half-resolution radial solve and the
+    # mesh-vs-polygon area gap
+    lam_half = level(geometry.area(d), res.M // 2)
+    tol = abs(lam - lam_half) * qnorm + TRACE_SLACK * max(energy_form, rhs)
     return make_report(
         name="trace_poincare",
         lhs=energy_form,
@@ -392,7 +373,7 @@ def _experiment_rows(family, grid, checks, q_values, beta_values, c_factors, res
         for i_q, q in enumerate(q_values):
             for i_b, beta in enumerate(beta_values):
                 # no local keeps the last shape's field: its mesh holds an LU
-                shape = _Shape(d, res, q, beta)
+                shape = _Shape(d, q, beta, res.n_r, res.n_theta, res.M)
                 base = shape.minimizer[1]
                 for check in checks:
                     for i_c, cf in enumerate(c_factors if check == "ec_ball" else (0.0,)):

@@ -326,6 +326,20 @@ def _root(f, lo, hi, rtol=_RTOL):
     return a
 
 
+def _decades(f, hi, what):
+    """Bracket [lo, hi] of a root of f that may lie many decades below hi:
+    lo = hi / 10^k for the least k in 1..100 with f(lo) < 0, and hi the last
+    rejected lo (f >= 0 there), which bounds the root from above. Brent's
+    method on [0, hi] cannot resolve a root 1e-14 hi to a relative 4 eps
+    within its iteration cap."""
+    lo = 0.1 * hi
+    for _ in range(100):
+        if f(lo) < 0.0:
+            return lo, hi
+        hi, lo = lo, 0.1 * lo
+    raise SolverError(f"no {what} root found within 100 decades below the bracket")
+
+
 def _refine(f, a, lo, hi, M):
     """Root of the residual f(x, M) near the root a that the search found at
     min(_COARSE_STEPS, M) steps inside the bracket [lo, hi]. The root shifts
@@ -360,22 +374,6 @@ def _refine(f, a, lo, hi, M):
         if not lo <= x <= hi:
             raise SolverError("chord step left the coarse shooting bracket")
     raise SolverError("chord refinement did not settle at full resolution")
-
-
-def shoot_once(params: RadialParams, R: float, a: float, M: int = DEFAULT_STEPS):
-    """Single shot from the center with psi(0) = a; returns (psi(R), psi'(R)).
-
-    No boundary condition is imposed, so the discretization error of the
-    integrator is visible directly; step-halving studies use this entry point.
-    At q = 1 the shot is the closed-form quadratic a - r^2/(2n), so it shows
-    no integrator error at any M.
-    """
-    p = params
-    if not R > 0.0:
-        raise ValueError("R must be positive")
-    if M < 16:
-        raise ValueError("M must be >= 16")
-    return _shoot_ball(p.n, p.q, p.c, float(R), int(M), float(a))
 
 
 def solve_ball(params: RadialParams, R: float, M: int = DEFAULT_STEPS) -> RadialProfile:
@@ -478,24 +476,19 @@ def solve_ball(params: RadialParams, R: float, M: int = DEFAULT_STEPS) -> Radial
         if dirichlet(0.0) >= 0.0:
             raise SolverError("contact shot found no sign change at a = 0")
         hi = widen(dirichlet, hi)
-        lo = _root(dirichlet, 0.0, hi)
+        # near q = 2 a tiny c puts the Dirichlet root many decades below hi
+        d_lo, d_hi = _decades(dirichlet, hi, "Dirichlet")
+        lo = _root(dirichlet, d_lo, d_hi)
         # the slope condition at M, on the coarse root and then on the root
         # at M: only a contact profile needs the latter
         if meets_slope(lo):
-            lo = _refine(dirichlet, lo, 0.0, hi, M)
+            lo = _refine(dirichlet, lo, d_lo, d_hi, M)
             if meets_slope(lo):
                 return profile(lo, "obstacle_contact")
     elif p.c == 0.0:
         # a = 0 is the trivial solution, and the root can lie many decades
-        # below hi when q is near 2: shrink lo until the residual is negative,
-        # each rejected lo bounding the root from above
-        lo = 0.1 * hi
-        shrink = 0
-        while robin(lo) >= 0.0:
-            if shrink == 100:
-                raise SolverError("no boundary-residual root found for c = 0")
-            hi, lo = lo, 0.1 * lo
-            shrink += 1
+        # below hi when q is near 2
+        lo, hi = _decades(robin, hi, "boundary-residual")
         # psi(r) = a phi(a^((q-2)/2) r) with phi(0) = 1, so the residual's
         # slope in log a shrinks with (2 - q)/2; below that relative
         # precision Brent only bisects through the integrator's rounding

@@ -2,6 +2,8 @@
 
 import io
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +26,7 @@ def test_parse_minimal_defaults():
     assert cfg.grid == (1.1, 1.3)
     assert cfg.q_values == (1.0,)
     assert cfg.beta_values == (1.0,)
-    assert cfg.resolution.n_r == 48 and cfg.resolution.estimate_tolerance
+    assert cfg.resolution.n_r == 48
     assert cfg.domain_K == 512
     assert cfg.output_dir == "out/mini"
     assert cfg.cardinality("quantitative") == 2
@@ -45,16 +47,13 @@ n_theta = 48
 K = 128
 M = 1024
 n_angles = 512
-estimate_tolerance = false
-default_tol = 0.005
 output_dir = /tmp/custom-out
 """
     cfg = cfgmod.parse_config(text)
     assert cfg.name == "custom"
     assert cfg.k == 3
     assert cfg.c_factors == (0.0, 0.5)
-    assert not cfg.resolution.estimate_tolerance
-    assert cfg.resolution.default_tol == 0.005
+    assert (cfg.resolution.n_r, cfg.resolution.M, cfg.resolution.n_angles) == (24, 1024, 512)
     assert cfg.output_dir == "/tmp/custom-out"
     # the obstacle-level axis only multiplies the obstacle check
     assert cfg.cardinality("intermediate") == 2 * 2 * 2
@@ -79,13 +78,28 @@ def _with_line(override: str) -> str:
         ("grid = 1.0", "bracketed"),
         ("grid = [1.0, oops]", "non-numeric"),
         ("n_r = 4.5", "integer"),
-        ("estimate_tolerance = yes", "true or false"),
+        ("estimate_tolerance = true", "unknown key"),
+        ("default_tol = 1e-3", "unknown key"),
         ("no equals sign here", "key = value"),
     ],
 )
 def test_parse_rejects_bad_lines(line, fragment):
     with pytest.raises(ConfigError, match=fragment):
         cfgmod.parse_config(_with_line(line))
+
+
+def test_key_docs_name_exactly_the_known_keys():
+    # the module docstring's key table (first column, up to its blank line)
+    # and README's key list must not drift from the parser's keys
+    table = cfgmod.__doc__.split("(R = required):\n\n")[1].split("\n\n")[0]
+    documented = set()
+    for line in table.splitlines():
+        first = re.split(r"\s{2,}", line.strip())[0].replace(" (R)", "")
+        documented.update(name.strip() for name in first.split(","))
+    assert documented == cfgmod._KNOWN
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = readme.split("\nRequired keys:")[1].split("\n\n")[0]
+    assert set(re.findall(r"`(\w+)`", listed)) == cfgmod._KNOWN
 
 
 def test_parse_rejects_duplicate_key():
@@ -242,19 +256,12 @@ def test_cli_check_subcommand(tmp_path, capsys):
     assert csv.read_text(encoding="utf-8").count("\n") == 2
 
 
-def test_cli_check_fixed_tolerance(tmp_path, calls, capsys):
-    # --fixed-tolerance skips the half-resolution gauge: one mesh, and the
-    # tolerance is default_tol x max(lhs, rhs) for trace_poincare
-    csv = tmp_path / "rows.csv"
-    argv = ["check", "trace_poincare", "--family", "ellipse", "--grid", "1.2"]
-    argv += ["--n-r", "24", "--n-theta", "48", "--fixed-tolerance", "--csv", str(csv)]
-    assert cli.main(argv) == 0
-    capsys.readouterr()
-    assert calls["mesh_star"] == 1
-    header, line = csv.read_text(encoding="utf-8").splitlines()
-    row = dict(zip(header.split(","), line.split(",")))
-    expected = ineq.Resolution().default_tol * max(float(row["lhs"]), float(row["rhs"]))
-    assert float(row["tolerance"]) == pytest.approx(expected, rel=1e-11)
+def test_cli_check_rejects_the_fixed_tolerance_flag(calls, capsys):
+    # the half-resolution gauge is the only tolerance path
+    argv = ["check", "quantitative", "--family", "ellipse", "--grid", "1.2", "--fixed-tolerance"]
+    assert cli.main(argv) == 2
+    assert "unrecognized arguments: --fixed-tolerance" in capsys.readouterr().err
+    assert calls["mesh_star"] == 0
 
 
 def test_cli_ball_unverified_profile_is_a_solver_failure(capsys):

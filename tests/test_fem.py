@@ -72,6 +72,20 @@ def test_mesh_invariants_rejected():
     assert abs(ok.area() - 0.5) < 1e-15
 
 
+def test_mesh_rejects_a_sliver_triangle():
+    # a fan of three triangles around vertex 2 of the ccw loop 0-1-3; with
+    # vertex 2 at height h above edge 0-1, triangle 0-1-2 has area h/2 of a
+    # total 1/2, and any h/2 <= 1e-14 x 1/2 is degenerate although positive
+    def fan(h):
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, h], [0.5, 1.0]])
+        tris = np.array([[0, 1, 2], [0, 2, 3], [2, 1, 3]])
+        return Mesh(verts, tris, np.array([[0, 1], [1, 3], [3, 0]]), n_r=4, n_theta=16)
+
+    with pytest.raises(ValueError, match=r"triangle 0 is degenerate \(area 1\.000e-15\)"):
+        fan(2e-15)
+    assert fan(1e-3).triangle_areas()[0] > 0.0
+
+
 def test_mesh_rim_mismatch_rejected():
     # unit square split along 0-2: rim 0-1, 1-2, 2-3, 3-0, interior edge 0-2
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])

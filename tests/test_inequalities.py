@@ -18,17 +18,14 @@ RES = ineq.Resolution()
 
 
 def test_resolution_validation():
-    with pytest.raises(ValueError):
-        ineq.Resolution(n_r=4)  # too coarse to halve
-    with pytest.raises(ValueError):
-        ineq.Resolution(default_tol=0.0)
-    with pytest.raises(ValueError):
-        ineq.Resolution(n_r=2, estimate_tolerance=False)  # below the floor
-    # coarse is fine when no halving is planned
-    ineq.Resolution(n_r=4, n_theta=16, M=64, n_angles=64, estimate_tolerance=False)
-    h = RES.halved()
-    assert (h.n_r, h.n_theta, h.M, h.n_angles) == (24, 48, 2048, 2048)
-    assert not h.estimate_tolerance
+    # one floor rule; n_r, n_theta and M are halved by the tolerance gauge
+    for bad in (dict(n_r=7), dict(n_theta=31), dict(M=63), dict(n_angles=31)):
+        with pytest.raises(ValueError, match="below the floor"):
+            ineq.Resolution(**bad)
+    floor = ineq.Resolution(n_r=8, n_theta=32, M=64, n_angles=32)
+    shape = ineq._Shape(geometry.disk(1.0), 1.0, 1.0, floor.n_r, floor.n_theta, floor.M)
+    half = shape.half
+    assert (half.mesh.n_r, half.mesh.n_theta, half.M) == (4, 16, 32)
 
 
 # --- intermediate -----------------------------------------------------------
@@ -340,36 +337,6 @@ def test_ec_ball_check_solves_only_at_its_obstacle_level(calls):
     p = RadialParams(n=2, q=1.5, beta=0.5, c=0.2)
     ineq.check_ec_ball_minimality(geometry.ellipse(1.25), p, RES)
     assert (calls["mesh_star"], calls["minimize_energy"]) == (2, 2)
-
-
-FIXED = ineq.Resolution(estimate_tolerance=False, default_tol=2e-3)
-
-
-def test_fixed_tolerance_intermediate_row(calls):
-    # without the gauge the tolerance is default_tol x max(1e-6, |E(ball)|),
-    # and no half-resolution bundle is built
-    row = ineq.sweep("ellipse", [1.25], "intermediate", q=1.5, beta=0.5, res=FIXED).rows[0]
-    assert calls["mesh_star"] == 1
-    p = RadialParams(n=2, q=1.5, beta=0.5)
-    R = geometry.equivalent_ball_radius(geometry.ellipse(1.25, K=512))
-    E_ball = radial.ball_energy(radial.solve_ball(p, R, M=FIXED.M)).E
-    assert row["tolerance"] == FIXED.default_tol * max(1e-6, abs(E_ball))
-
-
-def test_fixed_tolerance_trace_poincare_row(calls, monkeypatch):
-    # without the gauge the tolerance is default_tol x max(lhs, rhs), and
-    # neither a half mesh nor a half-resolution ball level is computed
-    solves = []
-    solve_ball = radial.solve_ball
-
-    def counted(*args, **kwargs):
-        solves.append(args)
-        return solve_ball(*args, **kwargs)
-
-    monkeypatch.setattr(radial, "solve_ball", counted)
-    row = ineq.sweep("ellipse", [1.25], "trace_poincare", q=1.5, beta=0.5, res=FIXED).rows[0]
-    assert calls["mesh_star"] == 1 and len(solves) == 1
-    assert row["tolerance"] == FIXED.default_tol * max(row["lhs"], row["rhs"])
 
 
 @pytest.mark.parametrize("check", ineq.CHECKS)

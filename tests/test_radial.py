@@ -21,7 +21,6 @@ from robinlab.radial import (
     lambda_from_energy,
     penalized_ball_argmin,
     profile_to_csv,
-    shoot_once,
     solve_ball,
     unit_ball_volume,
 )
@@ -170,15 +169,14 @@ def test_q2_eigenvalue_limits():
 def test_integrator_order():
     # fixed-amplitude shots expose the global error; halving the step must
     # shrink it by about 2^4
-    p = RadialParams(n=2, q=1.5, beta=1.0)
-    ref = shoot_once(p, 1.0, 2.0, M=16384)[0]
-    errs = [abs(shoot_once(p, 1.0, 2.0, M=M)[0] - ref) for M in (32, 64, 128)]
+    # (n, q, c, R, M, a) = (2, 1.5, 0, 1, M, 2)
+    ref = radial._shoot_ball(2, 1.5, 0.0, 1.0, 16384, 2.0)[0]
+    errs = [abs(radial._shoot_ball(2, 1.5, 0.0, 1.0, M, 2.0)[0] - ref) for M in (32, 64, 128)]
     ratios = [errs[i] / errs[i + 1] for i in range(2)]
     assert all(12.0 <= r <= 20.0 for r in ratios), ratios
     # q = 1 profiles are quadratic in r, integrated exactly at any step
-    p1 = RadialParams(n=2, q=1.0, beta=1.0)
     exact = 2.0 - 1.0 / 4.0
-    assert abs(shoot_once(p1, 1.0, 2.0, M=32)[0] - exact) < 1e-13
+    assert abs(radial._shoot_ball(2, 1.0, 0.0, 1.0, 32, 2.0)[0] - exact) < 1e-13
 
 
 def test_hamiltonian_monotonicity_reports():
@@ -305,6 +303,15 @@ def test_tiny_center_value_below_the_initial_bracket_floor():
     assert prof.mode == "robin"
     assert prof.psi[0] > 0.0
     assert ball_energy(prof).E < 0.0
+
+
+@pytest.mark.parametrize("c", [5e-31, 9.3e-127])
+def test_tiny_obstacle_level_near_q2_reaches_the_deep_dirichlet_root(c):
+    # the Dirichlet root lies near a = 1.7e-14, 14 decades below the upper
+    # end of its bracket: Brent's method on [0, hi] ran out of iterations
+    prof = solve_ball(RadialParams(n=2, q=1.9453125, beta=1.0, c=c), 1.0)
+    assert prof.mode == "obstacle_contact"
+    assert 1e-14 < prof.psi[0] < 1e-13
 
 
 def test_annulus_margin_scales_with_the_profile():
