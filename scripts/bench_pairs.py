@@ -65,6 +65,8 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
 
     sides = {"base": args.base.resolve(), "change": args.change.resolve()}
     runs = {"base": [], "change": []}

@@ -3,7 +3,8 @@
 Subcommands:
     run <config>      execute a config (path or built-in name); writes one
                       CSV per check plus summary.txt under output_dir
-    check <name>      one sweep of a single check from command-line flags
+    check <name>      one sweep of a single check from command-line flags,
+                      checked by the rules a config's keys follow
     ball              radial ball solve; prints the energy breakdown
     list-configs      names and descriptions of the built-in configs
 
@@ -42,7 +43,7 @@ def _tally(sw: SweepResult) -> str:
     return line
 
 
-def run_experiment(cfg: cfgmod.ExperimentConfig, out=sys.stdout) -> int:
+def run_experiment(cfg: ineq.ExperimentConfig, out=sys.stdout) -> int:
     """Execute every requested check over the config's parameter product.
 
     Builds rows one shape at a time, then writes <output_dir>/<check>.csv per
@@ -50,21 +51,11 @@ def run_experiment(cfg: cfgmod.ExperimentConfig, out=sys.stdout) -> int:
     """
     os.makedirs(cfg.output_dir, exist_ok=True)
     summary = [f"config {cfg.name}", f"family {cfg.family}", f"grid {list(cfg.grid)}"]
-    rows_by_check = ineq._experiment_rows(
-        cfg.family,
-        cfg.grid,
-        cfg.checks,
-        cfg.q_values,
-        cfg.beta_values,
-        cfg.c_factors,
-        cfg.resolution,
-        cfg.k,
-        cfg.domain_K,
-    )
+    rows_by_check = ineq._experiment_rows(cfg)
     total_pass = total_fail = 0
     for check in cfg.checks:
         rows = rows_by_check.get(check, [])
-        sw = SweepResult(cfg.family, rows, ineq._empirical_constant(rows))
+        sw = SweepResult(rows)
         total_pass += sw.n_pass
         total_fail += sw.n_fail
         expected = cfg.cardinality(check)
@@ -178,10 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--q", type=float, default=1.0)
     check.add_argument("--beta", type=float, default=1.0)
     check.add_argument("--c-factor", dest="c_factor", type=float, default=0.0)
-    check.add_argument("--k", type=int, default=cfgmod.ExperimentConfig.k)
+    check.add_argument("--k", type=int, default=ineq.ExperimentConfig.k)
     check.add_argument("--n-r", dest="n_r", type=int, default=ineq.Resolution.n_r)
     check.add_argument("--n-theta", dest="n_theta", type=int, default=ineq.Resolution.n_theta)
-    check.add_argument("--K", type=int, default=cfgmod.ExperimentConfig.domain_K)
+    check.add_argument("--K", type=int, default=ineq.ExperimentConfig.domain_K)
     check.add_argument("--M", type=int, default=ineq.Resolution.M)
     check.add_argument("--n-angles", dest="n_angles", type=int, default=ineq.Resolution.n_angles)
     check.add_argument("--csv", default="", help="also write the rows to this path")

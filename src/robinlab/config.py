@@ -3,7 +3,10 @@
 One assignment per line, full-line ``#`` comments, list values in square
 brackets: ``grid = [1.1, 1.2, 1.3]``. No nesting, no sections, no quoting;
 the goal is a format that diffs cleanly and parses without a dependency.
-Unknown keys and duplicate keys are rejected.
+Unknown keys and duplicate keys are rejected. This module reads the text
+only; the values are checked where they are held: the resolution keys by
+inequalities.Resolution, the rest by inequalities.ExperimentConfig, the one
+experiment spec, which `sweep` and `robinlab check` build as well.
 
 Recognized keys (R = required):
 
@@ -32,11 +35,10 @@ boundary term is a radial-solver concern and no batch check consumes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from importlib import resources
 
 from .errors import ConfigError
-from .inequalities import CHECKS, FAMILIES, Resolution
+from .inequalities import ExperimentConfig, Resolution
 
 _LIST_FLOAT = ("grid", "q", "beta", "c_factor")
 _LIST_STR = ("checks",)
@@ -47,57 +49,6 @@ _REQUIRED = ("checks", "family", "grid")
 _RESOLUTION = ("n_r", "n_theta", "M", "n_angles")
 # config keys whose ExperimentConfig field has another name
 _FIELDS = {"q": "q_values", "beta": "beta_values", "c_factor": "c_factors", "K": "domain_K"}
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    name: str
-    checks: tuple
-    family: str
-    grid: tuple
-    q_values: tuple = (1.0,)
-    beta_values: tuple = (1.0,)
-    c_factors: tuple = (0.0,)
-    k: int = 2
-    domain_K: int = 512
-    resolution: Resolution = field(default_factory=Resolution)
-    output_dir: str = ""
-
-    def __post_init__(self):
-        if not self.checks:
-            raise ConfigError('config field "checks": must be nonempty')
-        for ch in self.checks:
-            if ch not in CHECKS:
-                raise ConfigError(f'config field "checks": unknown check {ch!r}')
-        if len(set(self.checks)) != len(self.checks):
-            raise ConfigError('config field "checks": duplicates')
-        if self.family not in FAMILIES:
-            raise ConfigError(f'config field "family": unknown family {self.family!r}')
-        if not self.grid:
-            raise ConfigError('config field "grid": must be nonempty')
-        for v in self.q_values:
-            if not 1.0 <= v <= 2.0:
-                raise ConfigError(f'config field "q": value {v} outside [1, 2]')
-        for v in self.beta_values:
-            if not v > 0.0:
-                raise ConfigError(f'config field "beta": value {v} must be positive')
-        for v in self.c_factors:
-            if v < 0.0:
-                raise ConfigError(f'config field "c_factor": value {v} must be >= 0')
-        if self.k < 1:
-            raise ConfigError('config field "k": must be a positive integer')
-        if self.domain_K < 64 or self.domain_K % 2 != 0:
-            raise ConfigError('config field "K": must be even and >= 64')
-        if not self.output_dir:
-            object.__setattr__(self, "output_dir", f"out/{self.name}")
-
-    def cardinality(self, check: str) -> int:
-        """Row count the check's CSV must have: the full grid product, with
-        the obstacle-level axis counted only where it applies."""
-        n = len(self.grid) * len(self.q_values) * len(self.beta_values)
-        if check == "ec_ball":
-            n *= len(self.c_factors)
-        return n
 
 
 def _parse_value(key: str, raw: str, lineno: int):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,11 +25,10 @@ from . import fem, geometry, radial
 from .errors import ConfigError, SolverError
 from .geometry import StarDomain
 from .radial import RadialParams, RadialProfile
-from .reports import InequalityReport, SweepResult, make_report
+from .reports import InequalityReport, SweepResult, make_report, stability_ratio
 
 CHECKS = ("intermediate", "quantitative", "ec_ball", "trace_poincare")
 FAMILIES = ("disk", "ellipse", "perturbed", "stadium")
-ASYMMETRY_CUTOFF = 1e-3
 
 
 # check_trace_poincare's tolerance adds TRACE_SLACK x max(lhs, rhs) to the
@@ -55,6 +54,56 @@ class Resolution:
             raise ValueError(
                 "resolution below the floor: n_r >= 8, n_theta >= 32, M >= 64, n_angles >= 32"
             )
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """One experiment: checks x grid x q x beta (x c_factors for ec_ball).
+    Construction checks every input, so no row is built from an unchecked
+    one; the q = 2 endpoint is valid here and refused at dispatch."""
+
+    name: str
+    checks: tuple
+    family: str
+    grid: tuple
+    q_values: tuple = (1.0,)
+    beta_values: tuple = (1.0,)
+    c_factors: tuple = (0.0,)
+    k: int = 2
+    domain_K: int = 512
+    resolution: Resolution = field(default_factory=Resolution)
+    output_dir: str = ""
+
+    def __post_init__(self):
+        for key, values in (("checks", self.checks), ("grid", self.grid)):
+            if not values:
+                raise ConfigError(f'config field "{key}": must be nonempty')
+        if unknown := [ch for ch in self.checks if ch not in CHECKS]:
+            raise ConfigError(f'config field "checks": unknown check {unknown[0]!r}')
+        if len(set(self.checks)) != len(self.checks):
+            raise ConfigError('config field "checks": duplicates')
+        if self.family not in FAMILIES:
+            raise ConfigError(f'config field "family": unknown family {self.family!r}')
+        if bad := [v for v in self.q_values if not 1.0 <= v <= 2.0]:
+            raise ConfigError(f'config field "q": value {bad[0]} outside [1, 2]')
+        if bad := [v for v in self.beta_values if not v > 0.0]:
+            raise ConfigError(f'config field "beta": value {bad[0]} must be positive')
+        if bad := [v for v in self.c_factors if v < 0.0]:
+            raise ConfigError(f'config field "c_factor": value {bad[0]} must be >= 0')
+        if self.k < 1:
+            raise ConfigError('config field "k": must be a positive integer')
+        if self.domain_K < 64 or self.domain_K % 2 != 0:
+            raise ConfigError('config field "K": must be even and >= 64')
+        if not self.output_dir:
+            object.__setattr__(self, "output_dir", f"out/{self.name}")
+
+    def cardinality(self, check: str) -> int:
+        """Row count the check's CSV must have: the full grid product, with
+        the obstacle-level axis counted only where it applies."""
+        n = len(self.grid) * len(self.q_values) * len(self.beta_values)
+        if check == "ec_ball":
+            n *= len(self.c_factors)
+        return n
 
 
 def _minimize(mesh: fem.Mesh, params: RadialParams):
@@ -143,11 +192,6 @@ def _intermediate(shape: _Shape) -> InequalityReport:
     )
 
 
-def _ratio(lhs: float, asym: float) -> float | None:
-    """lhs / asym^2, the stability constant's estimate, where asym > cutoff."""
-    return lhs / asym**2 if asym > ASYMMETRY_CUTOFF else None
-
-
 def _quantitative(shape: _Shape, asym: float) -> InequalityReport:
     def sides(s):
         lam = s.minimizer[1].lambda_q
@@ -161,7 +205,7 @@ def _quantitative(shape: _Shape, asym: float) -> InequalityReport:
             "ball_radius": s.R,
             "conforming_bias": "lhs overestimated (conforming fem)",
         }
-        if (ratio := _ratio(lhs, asym)) is not None:
+        if (ratio := stability_ratio(lhs, asym)) is not None:
             ctx["ratio"] = ratio
         return lhs, 0.0, ctx
 
@@ -350,33 +394,28 @@ def _make_domain(family: str, value: float, k: int, K: int):
         raise ConfigError(f"family {family!r} rejects parameter {value!r}: {ex}") from ex
 
 
-def _experiment_rows(family, grid, checks, q_values, beta_values, c_factors, res, k, domain_K):
+def _experiment_rows(cfg: ExperimentConfig):
     """{check: rows} over grid x q x beta (x c_factors for ec_ball, the only
     check with an obstacle-level axis), each ordered by q, beta, c_factor,
     then value. One bundle per (value, q, beta) serves every check, so one
-    fine and one half LU live at a time. Arguments are checked first."""
-    grid = [float(g) for g in grid]
-    if not grid:
-        raise ConfigError("parameter grid must be nonempty")
-    if unknown := [c for c in checks if c not in CHECKS]:
-        raise ConfigError(f"unknown check {unknown[0]!r}; choose from {CHECKS}")
-    if family not in FAMILIES:
-        raise ConfigError(f"unknown family {family!r}; choose from {FAMILIES}")
-    if bad := [q for q in q_values if not 1.0 <= q < 2.0]:
+    fine and one half LU live at a time. The config has checked its inputs;
+    only the q = 2 endpoint, valid in a config, is refused here."""
+    family, checks, k, res = cfg.family, cfg.checks, cfg.k, cfg.resolution
+    if 2.0 in cfg.q_values:
         # every row is built on the nonlinear minimizer; the q = 2 linear
         # endpoint has its own path (check_trace_poincare on lambda_2's field)
-        raise ConfigError(f"q = {bad[0]} not sweepable; sweep checks need q in [1, 2)")
+        raise ConfigError("q = 2.0 not sweepable; sweep checks need q in [1, 2)")
     groups = {}  # (check, i_q, i_beta, i_c) -> rows; the first value adds keys in order
-    for value in grid:
-        d = _make_domain(family, value, k, domain_K)
+    for value in cfg.grid:
+        d = _make_domain(family, value, k, cfg.domain_K)
         asym, _ = geometry.fraenkel_asymmetry(d, n_angles=res.n_angles)
-        for i_q, q in enumerate(q_values):
-            for i_b, beta in enumerate(beta_values):
+        for i_q, q in enumerate(cfg.q_values):
+            for i_b, beta in enumerate(cfg.beta_values):
                 # no local keeps the last shape's field: its mesh holds an LU
                 shape = _Shape(d, q, beta, res.n_r, res.n_theta, res.M)
                 base = shape.minimizer[1]
                 for check in checks:
-                    for i_c, cf in enumerate(c_factors if check == "ec_ball" else (0.0,)):
+                    for i_c, cf in enumerate(cfg.c_factors if check == "ec_ball" else (0.0,)):
                         if check == "intermediate":
                             rep = _intermediate(shape)
                         elif check == "quantitative":
@@ -409,12 +448,6 @@ def _experiment_rows(family, grid, checks, q_values, beta_values, c_factors, res
     return {ch: [r for key, rows in groups.items() if key[0] == ch for r in rows] for ch in checks}
 
 
-def _empirical_constant(rows) -> float | None:
-    """Smallest _ratio over the quantitative rows; None if none has one."""
-    ratios = [_ratio(r["lhs"], r["asymmetry"]) for r in rows if r["check"] == "quantitative"]
-    return min((x for x in ratios if x is not None), default=None)
-
-
 def sweep(
     family: str,
     grid,
@@ -430,13 +463,24 @@ def sweep(
 
     grid: family parameter values (ellipse axis, perturbation amplitude,
     stadium length, disk radius). For ec_ball the obstacle level per shape
-    is c_factor times the shape's computed inf_u. Each row builds one bundle
-    (`_Shape`). Rows never raise on a failed inequality; failures are
-    counted and recorded.
+    is c_factor times the shape's computed inf_u. The arguments make one
+    `ExperimentConfig`, which checks them as a config file's are checked.
+    Each row builds one bundle (`_Shape`). Rows never raise on a failed
+    inequality; failures are counted and recorded.
     """
-    grouped = _experiment_rows(family, grid, (check,), (q,), (beta,), (c_factor,), res, k, domain_K)
-    rows = grouped[check]
-    return SweepResult(family=family, rows=rows, empirical_constant=_empirical_constant(rows))
+    cfg = ExperimentConfig(
+        name="sweep",
+        checks=(check,),
+        family=family,
+        grid=tuple(float(g) for g in grid),
+        q_values=(q,),
+        beta_values=(beta,),
+        c_factors=(c_factor,),
+        k=k,
+        domain_K=domain_K,
+        resolution=res,
+    )
+    return SweepResult(_experiment_rows(cfg)[check])
 
 
 SWEEP_COLUMNS = (

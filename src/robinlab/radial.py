@@ -128,7 +128,6 @@ class RadialProfile:
     grid: np.ndarray
     psi: np.ndarray
     dpsi: np.ndarray
-    bc_residual: float
     mode: str
     shots: int = 0  # integrator passes that built the profile
 
@@ -151,6 +150,15 @@ class RadialProfile:
     def M(self) -> int:
         return self.grid.size - 1
 
+    @property
+    def bc_residual(self) -> float:
+        """psi(R) for a contact profile, else the boundary law's residual
+        psi'(R) + beta (psi(R) + c (1+eps) psi(R)^eps)."""
+        p, psi_R = self.params, float(self.psi[-1])
+        if self.mode == "obstacle_contact":
+            return psi_R
+        return float(self.dpsi[-1]) + _flux(psi_R, p.beta, p.c, p.eps)
+
     def hamiltonian(self) -> np.ndarray:
         p = self.params
         base = np.maximum(self.psi + p.c, 0.0)
@@ -171,8 +179,6 @@ class RadialProfile:
             raise ValueError("grid must be uniform")
         if np.min(psi) < -1e-12:
             raise ValueError("psi must be nonnegative")
-        if abs(self.bc_residual) > BC_TOL:
-            raise ValueError(f"boundary residual {self.bc_residual:.3e} exceeds {BC_TOL}")
         # ODE residual on the stored grid: differentiate stored dpsi (4th-order
         # central); second differences of psi would amplify rounding past 1e-8.
         inner = slice(2, M - 1)
@@ -187,17 +193,16 @@ class RadialProfile:
             raise ValueError(
                 f"ODE residual {np.max(np.abs(res)):.3e} exceeds {ODE_RESIDUAL_TOL}"
             )
+        if abs(self.bc_residual) > BC_TOL:
+            raise ValueError(f"boundary residual {self.bc_residual:.3e} exceeds {BC_TOL}")
         scale = max(1.0, float(np.max(np.abs(dpsi))))
         if np.max(np.abs(_fd4(psi, h) - dpsi[inner])) > 1e-9 * scale:
             raise ValueError("stored dpsi inconsistent with psi")
         H = self.hamiltonian()
         if np.max(np.diff(H)) > 1e-10:
             raise ValueError("Hamiltonian must be nonincreasing along the profile")
-        if self.mode == "obstacle_contact":
-            if abs(psi[-1]) > BC_TOL:
-                raise ValueError("contact profile must vanish at the boundary")
-            if dpsi[-1] + p.beta * p.c < -BC_TOL:
-                raise ValueError("contact profile violates the slope condition")
+        if self.mode == "obstacle_contact" and dpsi[-1] + p.beta * p.c < -BC_TOL:
+            raise ValueError("contact profile violates the slope condition")
 
 
 @dataclass(frozen=True)
@@ -415,26 +420,17 @@ def solve_ball(params: RadialParams, R: float, M: int = DEFAULT_STEPS) -> Radial
     def shoot(a, steps):
         return _shoot_ball(p.n, p.q, p.c, R, steps, a)
 
-    def bc_residual(psiR, sR):
-        return sR + _flux(psiR, p.beta, p.c, p.eps)
-
     def profile(a, mode):
-        # one stored pass at M, which also gives the residual that admits a
-        # Robin-type root; a profile that fails validation is a solver
-        # failure. Only this pass stores arrays: storing every pass at M
-        # raised shape_sweep's peak RSS by about 8 MB
-        psiR, sR, arrays = _shoot_ball(p.n, p.q, p.c, R, M, a, store=True)
+        # one stored pass at M; a profile that fails validation (its
+        # boundary residual included) is a solver failure. Only this pass
+        # stores arrays: storing every pass at M raised shape_sweep's peak
+        # RSS by about 8 MB
+        arrays = _shoot_ball(p.n, p.q, p.c, R, M, a, store=True)[2]
         shots = 0 if p.q == 1.0 else shoot.cache_info().currsize + 1
-        contact = mode == "obstacle_contact"
-        res = psiR if contact else bc_residual(psiR, sR)
-        if contact or (abs(res) <= BC_TOL and psiR >= -1e-12):
-            try:
-                return RadialProfile(p, *arrays, float(res), mode, shots)
-            except ValueError as ex:
-                raise SolverError(str(ex)) from ex
-        if p.c > 0.0:
-            raise SolverError("root search pinched at psi(R) -> 0; no admissible profile")
-        raise SolverError("no boundary-residual root found for c = 0")
+        try:
+            return RadialProfile(p, *arrays, mode, shots)
+        except ValueError as ex:
+            raise SolverError(str(ex)) from ex
 
     robin_mode = "robin" if p.c == 0.0 else "modified_robin"
     if p.q == 1.0:
@@ -450,7 +446,8 @@ def solve_ball(params: RadialParams, R: float, M: int = DEFAULT_STEPS) -> Radial
         return profile(x + R * R / (2.0 * p.n), mode)
 
     def robin(a, steps=coarse):
-        return bc_residual(*shoot(a, steps))
+        psiR, sR = shoot(a, steps)
+        return sR + _flux(psiR, p.beta, p.c, p.eps)
 
     def dirichlet(a, steps=coarse):
         return shoot(a, steps)[0]
@@ -547,9 +544,7 @@ def lambda_from_energy(E: float, q: float) -> float:
 # linear (q = 2) eigenvalue
 
 
-def eigenvalue_q2_ball(
-    n: int, beta: float, R: float, M: int = DEFAULT_STEPS, return_profile: bool = False
-):
+def eigenvalue_q2_ball(n: int, beta: float, R: float, M: int = DEFAULT_STEPS) -> float:
     """Smallest Robin eigenvalue of the ball: psi'' + (n-1)/r psi' + lam psi = 0,
     psi'(0) = 0, psi'(R) + beta psi(R) = 0. A scan in lam at
     min(_COARSE_STEPS, M) steps isolates the first sign change of the boundary
@@ -562,10 +557,10 @@ def eigenvalue_q2_ball(
     if n < 2 or beta <= 0.0 or R <= 0.0:
         raise ValueError("need n >= 2, beta > 0, R > 0")
 
-    def shoot(lam, steps, store=False):
+    def shoot(lam, steps):
         h = R / steps
         start = [(1.0, 0.0), (1.0 - lam * h * h / (2.0 * n), -lam * h / n)]
-        return _rk4(n, lambda y: lam * y, 0.0, h, steps, start, store)
+        return _rk4(n, lambda y: lam * y, 0.0, h, steps, start)
 
     @functools.cache  # brentq re-shoots the scan's bracket ends
     def res_at(lam, steps):
@@ -581,10 +576,7 @@ def eigenvalue_q2_ball(
     else:
         raise SolverError("no sign change found while scanning for the eigenvalue")
     lo, hi = (k - 1) * step, k * step
-    lam_root = _refine(res_at, _root(lambda lam: res_at(lam, coarse), lo, hi), lo, hi, M)
-    if not return_profile:
-        return lam_root
-    return lam_root, shoot(lam_root, M, store=True)[2]
+    return _refine(res_at, _root(lambda lam: res_at(lam, coarse), lo, hi), lo, hi, M)
 
 
 # ---------------------------------------------------------------------------

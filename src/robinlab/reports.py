@@ -3,15 +3,24 @@
 Convention: `lhs` is always the side asserted greater-or-equal, and the
 records store only these independent values. `deficit` (lhs - rhs) and
 `passed` (deficit >= -tolerance) are derived properties of a report, as are
-a sweep's `n_pass` / `n_fail` (counted from its rows). Checks of strict
-positivity fold their required margin into `rhs`; composite checks (several
-conditions in one report) put their worst margin in `lhs` against rhs = 0.
+a sweep's `n_pass` / `n_fail` (counted from its rows) and its
+`empirical_constant` (the smallest stability ratio of its rows). Checks of
+strict positivity fold their required margin into `rhs`; composite checks
+(several conditions in one report) put their worst margin in `lhs` against
+rhs = 0.
 The `term_provenance` map documents which formula term landed on which side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+ASYMMETRY_CUTOFF = 1e-3
+
+
+def stability_ratio(lhs: float, asym: float) -> float | None:
+    """lhs / asym^2, the stability constant's estimate, where asym > ASYMMETRY_CUTOFF."""
+    return lhs / asym**2 if asym > ASYMMETRY_CUTOFF else None
 
 
 @dataclass(frozen=True)
@@ -57,9 +66,14 @@ class SweepResult:
     perimeter, area, asymmetry).
     """
 
-    family: str
     rows: list
-    empirical_constant: float | None = None
+
+    @property
+    def empirical_constant(self) -> float | None:
+        """Smallest stability ratio over the quantitative rows; None if none has one."""
+        rows = (r for r in self.rows if r["check"] == "quantitative")
+        ratios = (stability_ratio(r["lhs"], r["asymmetry"]) for r in rows)
+        return min((x for x in ratios if x is not None), default=None)
 
     @property
     def n_pass(self) -> int:

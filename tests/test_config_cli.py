@@ -264,6 +264,22 @@ def test_cli_check_rejects_the_fixed_tolerance_flag(calls, capsys):
     assert calls["mesh_star"] == 0
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--family", "perturbed", "--grid", "0.05", "--k", "0"],
+        ["--family", "ellipse", "--grid", "1.2", "--K", "63"],
+        ["--family", "ellipse", "--grid", "1.2", "--c-factor", "-1"],
+        ["--family", "ellipse", "--grid", "1.2", "--beta", "0"],
+    ],
+)
+def test_cli_check_rejects_what_a_config_rejects(flags, calls, capsys):
+    # the flags make one ExperimentConfig, checked before any work
+    assert cli.main(["check", "ec_ball", *flags]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert calls["mesh_star"] == calls["fraenkel_asymmetry"] == 0
+
+
 def test_cli_ball_unverified_profile_is_a_solver_failure(capsys):
     # the profile fails its ODE residual check: a solver failure, not a bad value
     argv = ["ball", "--n", "3", "--q", "1.9199441324755204", "--beta", "0.40118109472273006"]

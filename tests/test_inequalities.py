@@ -237,7 +237,6 @@ def test_scaling_validation():
         grid=grid,
         psi=np.zeros(17),
         dpsi=np.zeros(17),
-        bc_residual=0.0,
         mode="robin",
     )
     with pytest.raises(ValueError, match="nontrivial"):
@@ -254,6 +253,13 @@ def test_sweep_rejects_bad_arguments():
         ineq.sweep("ellipse", [1.1], "nope", q=1.0, beta=1.0)
     with pytest.raises(ConfigError, match="unknown family"):
         ineq.sweep("triangle", [1.1], "quantitative", q=1.0, beta=1.0)
+    # the rules a config file's keys follow
+    with pytest.raises(ConfigError, match='"K"'):
+        ineq.sweep("ellipse", [1.1], "quantitative", q=1.0, beta=1.0, domain_K=63)
+    with pytest.raises(ConfigError, match='"k"'):
+        ineq.sweep("perturbed", [0.05], "quantitative", q=1.0, beta=1.0, k=0)
+    with pytest.raises(ConfigError, match='"c_factor"'):
+        ineq.sweep("ellipse", [1.1], "ec_ball", q=1.0, beta=1.0, c_factor=-1.0)
 
 
 def test_sweep_ellipse_quantitative():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -153,9 +154,8 @@ def test_q2_eigenvalue_against_bessel():
     beta = 1.0
     f = lambda x: -x * j1(x) + beta * j0(x)
     x0 = brentq(f, 0.1, 2.4, xtol=1e-14)
-    lam, (grid, psi, dpsi) = eigenvalue_q2_ball(2, beta, 1.0, return_profile=True)
+    lam = eigenvalue_q2_ball(2, beta, 1.0)
     assert abs(lam - x0**2) / x0**2 < 1e-12
-    assert np.max(np.abs(psi - j0(math.sqrt(lam) * grid))) < 1e-12
 
 
 def test_q2_eigenvalue_limits():
@@ -228,13 +228,15 @@ def test_profile_validation_rejects_tampering():
     prof = solve_ball(p, 1.0, M=512)
     with pytest.raises(ValueError, match="ODE residual"):
         RadialProfile(p, prof.grid, np.full_like(prof.psi, 0.6),
-                      np.zeros_like(prof.dpsi), 0.0, "robin")
+                      np.zeros_like(prof.dpsi), "robin")
+    # the same arrays under a boundary weight off by 1e-6: residual ~5e-7
     with pytest.raises(ValueError, match="boundary residual"):
-        RadialProfile(p, prof.grid, prof.psi, prof.dpsi, 5e-9, "robin")
+        RadialProfile(replace(p, beta=p.beta * (1.0 + 1e-6)), prof.grid, prof.psi, prof.dpsi,
+                      "robin")
     with pytest.raises(ValueError, match="mode"):
-        RadialProfile(p, prof.grid, prof.psi, prof.dpsi, prof.bc_residual, "bogus")
+        RadialProfile(p, prof.grid, prof.psi, prof.dpsi, "bogus")
     with pytest.raises(ValueError, match="nonnegative"):
-        RadialProfile(p, prof.grid, prof.psi - 1.0, prof.dpsi, prof.bc_residual, "robin")
+        RadialProfile(p, prof.grid, prof.psi - 1.0, prof.dpsi, "robin")
 
 
 def test_lambda_from_energy_domain():

@@ -65,3 +65,27 @@ def test_bench_pairs_prints_medians_and_ratios():
     for m in out["metrics"].values():
         assert len(m["base"]["values"]) == len(m["change"]["values"]) == len(m["ratios"]) == 1
         assert m["median_ratio"] == m["ratios"][0] > 0.0
+
+
+def test_bench_pairs_rejects_zero_pairs():
+    # no pair means no run to compare: an argparse error before any run
+    done = subprocess.run(
+        [
+            sys.executable,
+            str(ROOT / "scripts" / "bench_pairs.py"),
+            "--base",
+            str(ROOT),
+            "--change",
+            str(ROOT),
+            "--workload",
+            "radial_certificates",
+            "--pairs",
+            "0",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 2
+    assert "--pairs must be at least 1" in done.stderr
+    assert done.stdout == ""
