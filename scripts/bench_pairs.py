@@ -9,9 +9,12 @@ side imports its own src/) on the same workload and seed, for --pairs
 pairs. Pair i uses seed --seed + i and alternates which side runs first, so
 a slow phase of the host does not fall on one side only. Prints one JSON
 object: per metric the median, quartiles and values of each side, and the
-per-pair ratios change / base with their median. With --trace 1 the
-per-layer metrics are compared the same way. Exits 1 when a run fails or
-reports correct: false or failed operations.
+per-pair ratios change / base with their median, and `wins`: the number
+of pairs in which the change is better, ties counting for neither side, in
+the direction that the `better` field of the change checkout's
+BENCHMARK.json gives (null for a metric it does not list). With --trace 1
+the per-layer metrics are compared the same way. Exits 1 when a run fails
+or reports correct: false or failed operations.
 """
 
 import argparse
@@ -42,6 +45,19 @@ def run_once(checkout, workload, seed, seconds, trace):
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+def directions(checkout):
+    """{metric: "higher" or "lower"} from the `better` fields of the
+    checkout's BENCHMARK.json."""
+    spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec.get("per_layer", [])}
+
+
+def wins(base, change, better):
+    """Pairs in which the change is strictly better; a tie counts for neither."""
+    sign = {"higher": 1.0, "lower": -1.0}[better]
+    return sum(sign * (c - b) > 0.0 for b, c in zip(base, change))
+
+
 def sig(x):
     return float(f"{x:.6g}")
 
@@ -69,6 +85,7 @@ def main(argv=None):
         ap.error("--pairs must be at least 1")
 
     sides = {"base": args.base.resolve(), "change": args.change.resolve()}
+    better = directions(sides["change"])  # read before any run, so a bad file fails fast
     runs = {"base": [], "change": []}
     for i in range(args.pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
@@ -89,6 +106,7 @@ def main(argv=None):
             "change": summary(change),
             "ratios": ratios,
             "median_ratio": sig(statistics.median(known)) if known else None,
+            "wins": wins(base, change, better[name]) if name in better else None,
         }
     health = {
         side: {

@@ -49,7 +49,6 @@ def run_experiment(cfg: ineq.ExperimentConfig, out=sys.stdout) -> int:
     Builds rows one shape at a time, then writes <output_dir>/<check>.csv per
     check and a summary.txt; reruns write identical bytes. Returns the status.
     """
-    os.makedirs(cfg.output_dir, exist_ok=True)
     summary = [f"config {cfg.name}", f"family {cfg.family}", f"grid {list(cfg.grid)}"]
     rows_by_check = ineq._experiment_rows(cfg)
     total_pass = total_fail = 0
@@ -67,7 +66,9 @@ def run_experiment(cfg: ineq.ExperimentConfig, out=sys.stdout) -> int:
     status = STATUS_OK if total_fail == 0 else STATUS_VIOLATION
     summary.append(f"total: {total_pass} passed, {total_fail} failed")
     summary.append("status " + ("ok" if status == STATUS_OK else "violation"))
-    # aggregation done; now the single-threaded write phase
+    # aggregation done; now the single-threaded write phase, so a config
+    # that fails before it leaves no directory behind
+    os.makedirs(cfg.output_dir, exist_ok=True)
     for check in cfg.checks:
         ineq.rows_to_csv(rows_by_check[check], os.path.join(cfg.output_dir, f"{check}.csv"))
     with open(

@@ -93,10 +93,7 @@ def parse_config(text: str, name: str = "config") -> ExperimentConfig:
         if key not in values:
             raise ConfigError(f'config field "{key}": missing required key')
     # only the keys the file sets are passed on: the dataclasses hold the defaults
-    try:
-        res = Resolution(**{key: values.pop(key) for key in _RESOLUTION if key in values})
-    except ValueError as ex:
-        raise ConfigError(f"config resolution fields: {ex}") from ex
+    res = Resolution(**{key: values.pop(key) for key in _RESOLUTION if key in values})
     values.setdefault("name", name)
     return ExperimentConfig(resolution=res, **{_FIELDS.get(k, k): v for k, v in values.items()})
 

@@ -50,10 +50,9 @@ class Resolution:
     n_angles: int = 4096
 
     def __post_init__(self):
-        if self.n_r < 8 or self.n_theta < 32 or self.M < 64 or self.n_angles < 32:
-            raise ValueError(
-                "resolution below the floor: n_r >= 8, n_theta >= 32, M >= 64, n_angles >= 32"
-            )
+        for key, floor in (("n_r", 8), ("n_theta", 32), ("M", 64), ("n_angles", 32)):
+            if (value := getattr(self, key)) < floor:
+                raise ConfigError(f'config field "{key}": {value} is below the floor {floor}')
 
 
 @dataclass(frozen=True)

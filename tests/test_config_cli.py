@@ -368,6 +368,37 @@ def test_cli_run_q2_fails_before_any_solve(tmp_path, calls, capsys):
     assert calls["minimize_energy"] == 0
 
 
+def test_cli_run_that_fails_leaves_no_output_dir(tmp_path, capsys):
+    # the output directory is made only in the write phase
+    cfg_path = tmp_path / "q2.cfg"
+    out_dir = tmp_path / "out" / "q2"
+    cfg_path.write_text(
+        "checks = [quantitative]\nfamily = ellipse\ngrid = [1.2]\nq = [2.0]\n"
+        f"output_dir = {out_dir}\n",
+        encoding="utf-8",
+    )
+    assert cli.main(["run", str(cfg_path)]) == 2
+    assert "not sweepable" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_resolution_floor_reads_the_same_from_flags_and_config(tmp_path, calls, capsys):
+    expected = 'config error: config field "n_r": 4 is below the floor 8\n'
+    argv = ["check", "quantitative", "--family", "ellipse", "--grid", "1.2", "--n-r", "4"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == expected
+    cfg_path = tmp_path / "coarse.cfg"
+    cfg_path.write_text(
+        "checks = [quantitative]\nfamily = ellipse\ngrid = [1.2]\nn_r = 4\n"
+        f"output_dir = {tmp_path / 'coarse'}\n",
+        encoding="utf-8",
+    )
+    assert cli.main(["run", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == expected
+    assert calls["mesh_star"] == calls["fraenkel_asymmetry"] == 0
+    assert not (tmp_path / "coarse").exists()
+
+
 # a multi-check, multi-level experiment small enough for tier-1
 SMALL_EXPERIMENT = """
 checks = [intermediate, quantitative, ec_ball, trace_poincare]

@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu, spsolve
 
 from robinlab import fem, geometry as geo
 from robinlab.errors import SolverError
@@ -37,6 +37,106 @@ def test_mesh_counts():
     assert mesh.n_vertices == 1 + 32 * 64
     assert mesh.triangles.shape[0] == 32 * 64 * 2 - 64
     assert mesh.boundary_edges.shape[0] == 64
+
+
+def _ring_major_vertices(d, n_r, n_theta):
+    """The center, then ring i = 1..n_r at angles 2 pi j / n_theta."""
+    theta = np.arange(n_theta) * (2.0 * math.pi / n_theta)
+    ray = np.column_stack([np.cos(theta), np.sin(theta)]) * geo.boundary_radius(d, theta)[:, None]
+    rings = [d.center + (i / n_r) * ray for i in range(1, n_r + 1)]
+    return np.vstack([d.center[None, :], *rings])
+
+
+def _sorted_rows(v):
+    return v[np.lexsort((v[:, 1], v[:, 0]))]
+
+
+@pytest.mark.parametrize("n_r,n_theta", [(8, 32), (12, 33), (48, 96)])
+def test_mesh_star_permutes_the_ring_major_vertices(n_r, n_theta):
+    d = geo.ellipse(1.25)
+    mesh = mesh_star(d, n_r, n_theta)
+    ref = _ring_major_vertices(d, n_r, n_theta)
+    assert np.array_equal(_sorted_rows(mesh.vertices), _sorted_rows(ref))
+    assert np.array_equal(mesh.vertices[-1], d.center)
+    # the boundary loop still runs over the outer ring from angle 0
+    assert np.array_equal(mesh.vertices[mesh.boundary_edges[:, 0]], ref[-n_theta:])
+
+
+@pytest.mark.parametrize("n_theta", [32, 33])
+def test_top_separator_splits_the_mesh(n_theta):
+    # the rays j = 0 and j = n_theta // 2 with the center separate two
+    # halves: each half is numbered in one block before the other, the
+    # separator comes last, and no triangle joins the halves
+    n_r = 10
+    mesh = mesh_star(geo.disk(1.0), n_r, n_theta)
+    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    ray = np.rint(np.mod(np.arctan2(y, x), 2.0 * math.pi) * n_theta / (2.0 * math.pi))
+    ray = ray.astype(int) % n_theta
+    center = np.hypot(x, y) < 1e-12
+    sep = center | (ray == 0) | (ray == n_theta // 2)
+    upper = ~sep & (ray < n_theta // 2)
+    lower = ~sep & (ray > n_theta // 2)
+    n_up, n_sep = np.count_nonzero(upper), np.count_nonzero(sep)
+    assert n_sep == 2 * n_r + 1
+    assert np.array_equal(np.nonzero(upper)[0], np.arange(n_up))
+    assert np.array_equal(np.nonzero(sep)[0], np.arange(mesh.n_vertices - n_sep, mesh.n_vertices))
+    tri = mesh.triangles
+    assert not np.any(upper[tri].any(axis=1) & lower[tri].any(axis=1))
+
+
+def test_nested_dissection_fills_about_as_little_as_minimum_degree():
+    # ring-major natural order would fill about 6x as much
+    mesh = mesh_star(geo.ellipse(1.25), 128, 256)
+    K, B, _ = assemble(mesh)
+    A = (K + B).tocsc()
+    lu = fem._factor(A)
+    mmd = splu(A, permc_spec="MMD_AT_PLUS_A")
+    assert lu.L.nnz + lu.U.nnz < 1.1 * (mmd.L.nnz + mmd.U.nnz)
+    # the factorisation keeps the mesh order
+    assert np.array_equal(lu.perm_c, np.arange(mesh.n_vertices))
+    assert np.array_equal(lu.perm_r, np.arange(mesh.n_vertices))
+
+
+# values with the ring-major numbering and MMD_AT_PLUS_A ordering:
+# lambda_2, then (E at c = 0, c, E_c) for q = 1 and q = 1.5, beta = 1
+RING_MAJOR_VALUES = {
+    ("disk", 24): (
+        1.581221738871229,
+        (-0.976347413747334, 0.598176, -0.1948876820357565),
+        (-0.12913912357551915, 0.374152, -0.08375167614328517),
+    ),
+    ("ellipse", 64): (
+        1.6434675516331017,
+        (-0.940246915499427, 0.530596, -0.17839850378930652),
+        (-0.11498555238326424, 0.315412, -0.06520776097543357),
+    ),
+    ("perturbed", 128): (
+        1.583443764875105,
+        (-0.9786372016380924, 0.58308, -0.19483553519790536),
+        (-0.1290380585647768, 0.363336, -0.08142219133566156),
+    ),
+}
+
+DOMAINS = {
+    "disk": geo.disk(1.0),
+    "ellipse": geo.ellipse(1.25),
+    "perturbed": geo.perturbed(1.0, 0.05, 3),
+}
+
+
+@pytest.mark.parametrize("family,n_r", sorted(RING_MAJOR_VALUES))
+def test_solves_match_the_ring_major_numbering(family, n_r):
+    # the numbering and the pivot order move only the rounding; each c is
+    # about 1.2 inf u, so the obstacle binds
+    lam, *levels = RING_MAJOR_VALUES[(family, n_r)]
+    mesh = mesh_star(DOMAINS[family], n_r, 2 * n_r)
+    assert abs(lambda_2(mesh, 1.0) - lam) <= 1e-12 * lam
+    for q, (E, c, E_c) in zip((1.0, 1.5), levels):
+        _, rep = minimize_energy(mesh, RadialParams(n=2, q=q, beta=1.0))
+        assert abs(rep.E - E) <= 1e-12 * abs(E)
+        _, rep = minimize_energy(mesh, RadialParams(n=2, q=q, beta=1.0, c=c))
+        assert rep.converged and rep.factorizations >= 2
+        assert abs(rep.E - E_c) <= 1e-12 * abs(E_c)
 
 
 def test_mesh_area_and_boundary_agree_with_polygon():
@@ -111,7 +211,7 @@ def test_obstacle_factorizations_counted():
     mesh = mesh_star(geo.ellipse(1.3), 48, 96)
     _, rep = minimize_energy(mesh, RadialParams(n=2, q=1.5, beta=1.0, c=0.3))
     assert rep.converged
-    assert rep.E == -0.06031685118745875
+    assert rep.E == -0.06031685118745819
     assert 2 <= rep.factorizations <= 12
     # the free solve reuses the LU of K + beta B that the mesh now holds
     _, free = minimize_energy(mesh, RadialParams(n=2, q=1.5, beta=1.0))
@@ -273,9 +373,11 @@ def test_disk_q1_energy_matches_closed_form(disk_mesh, disk_q1, disk_closed_form
 
 def test_ring_symmetry(disk_mesh, disk_q1):
     field, _ = disk_q1
-    n_theta = disk_mesh.n_theta
+    radius = np.hypot(disk_mesh.vertices[:, 0], disk_mesh.vertices[:, 1])
     for ring in (1, 17, 64):
-        vals = field.values[1 + (ring - 1) * n_theta : 1 + ring * n_theta]
+        on_ring = np.abs(radius - ring / disk_mesh.n_r) < 1e-12
+        assert np.count_nonzero(on_ring) == disk_mesh.n_theta
+        vals = field.values[on_ring]
         assert vals.max() - vals.min() < 1e-9
 
 

@@ -1,5 +1,6 @@
 """Smoke tests of the scripts under scripts/."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -7,6 +8,15 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _bench_pairs():
+    """scripts/bench_pairs.py as a module (scripts/ is not a package)."""
+    path = ROOT / "scripts" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_profile_gallery_writes_every_profile(tmp_path):
@@ -65,6 +75,19 @@ def test_bench_pairs_prints_medians_and_ratios():
     for m in out["metrics"].values():
         assert len(m["base"]["values"]) == len(m["change"]["values"]) == len(m["ratios"]) == 1
         assert m["median_ratio"] == m["ratios"][0] > 0.0
+
+
+def test_bench_pairs_counts_wins_in_the_metric_direction():
+    bp = _bench_pairs()
+    base, change = [1.0, 2.0, 3.0, 4.0], [2.0, 2.0, 1.0, 5.0]
+    # pair 2 ties and counts for neither side
+    assert bp.wins(base, change, "higher") == 2
+    assert bp.wins(base, change, "lower") == 1
+    assert bp.wins([], [], "lower") == 0
+    better = bp.directions(ROOT)
+    assert better["ops_per_s"] == "higher"
+    assert better["op_p50_s"] == better["peak_rss_mb"] == "lower"
+    assert better["fem.lambda_2.self_s"] == "lower"
 
 
 def test_bench_pairs_rejects_zero_pairs():
